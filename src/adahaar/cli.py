@@ -56,7 +56,10 @@ def _read_signal_csv(path):
                 label, _, value = line.partition(",")
                 if value.strip() in ("value", ""):  # header or blank
                     continue
-                signal[label.strip()] = float(value)
+                label = label.strip()
+                if label in signal:
+                    raise ParseError(f"{path}: label {label!r} appears more than once")
+                signal[label] = float(value)
     except (OSError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return signal
@@ -174,10 +177,8 @@ def _verify_checks(partition, system, vbm, rng, n_signals=20):
     yield "refinement_orthogonality", worst <= 1e-12, f"max residual {worst:.3e}"
 
     mu = framelets.leaf_measures(partition)
-    funcs = list(system.functions())
-    F = np.vstack([f.to_vector() for f in funcs])
-    integrals = F[1:] @ mu if len(funcs) > 1 else np.zeros(0)
-    worst = float(np.abs(integrals).max()) if integrals.size else 0.0
+    integrals = system.function_matrix()[1:] @ mu
+    worst = float(np.abs(integrals).max(initial=0.0))
     yield "vanishing_moments", worst <= 1e-12, f"max |integral| {worst:.3e}"
 
     worst = 0.0
@@ -189,13 +190,10 @@ def _verify_checks(partition, system, vbm, rng, n_signals=20):
         worst = max(worst, abs(got - expect))
     yield "atom_norms", worst <= 1e-12, f"max norm error {worst:.3e}"
 
-    G = (F * mu) @ F.T
-    worst = 0.0
-    levels = [-1] + [a.level for a in system.atoms]  # -1 marks the scaling function
-    for i in range(len(funcs)):
-        for k in range(i + 1, len(funcs)):
-            if levels[i] != levels[k]:
-                worst = max(worst, abs(G[i, k]))
+    G = framelets.gram_matrix(system)
+    levels = np.array([-1] + [a.level for a in system.atoms])  # -1: scaling function
+    cross = np.triu(levels[:, None] != levels[None, :], 1)
+    worst = float(np.abs(G[cross]).max(initial=0.0))
     yield "cross_scale_orthogonality", worst <= 1e-12, f"max inner product {worst:.3e}"
 
     worst_p, worst_r = 0.0, 0.0

@@ -10,17 +10,17 @@ vertex block and further thinned at the finest level.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DepthMismatch, ParseError, UnknownVertex, ZeroDegreeCluster
-from .framelets import FrameletSystem, PwcFunction, leaf_measures
+from .errors import (DepthMismatch, ParseError, UnknownVertex, ValidationError,
+                     ZeroDegreeCluster)
+from .framelets import RANK_TOL, FrameletSystem, PwcFunction, leaf_measures
 from .graphs import Chain, Graph
 from .hierarchy import HierarchicalPartition, refine_interval_level, tensor_partitions
-
-RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,6 +105,14 @@ class VertexBlockMap:
             blocks = tuple(int(obj["blocks"][lab]) for lab in labels)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed vertex block map JSON: {exc}") from exc
+        counts = Counter(blocks)
+        leaves = set(partition.leaf_ids)
+        bad = sorted(b for b in counts if b not in leaves)
+        if bad:
+            raise ValidationError(f"vertex blocks are not leaves of the partition: {bad}")
+        repeated = sorted(b for b, k in counts.items() if k > 1)
+        if repeated:
+            raise ValidationError(f"vertex blocks shared by several labels: {repeated}")
         return cls(partition, labels, blocks)
 
 
@@ -163,24 +171,27 @@ def function_to_signal(f: PwcFunction, vbm: VertexBlockMap) -> dict:
     return {lab: f.values.get(b, 0.0) for lab, b in zip(vbm.labels, vbm.blocks)}
 
 
-def _touches_vertices(partition, block_id, vertex_blocks) -> bool:
-    blk = partition.blocks[block_id]
-    return any(blk.intersection_measure(vb) > 0 for vb in vertex_blocks)
+def _effective_blocks(partition, vertex_blocks) -> set:
+    """The vertex blocks and their ancestors: since children tile their parent,
+    these are exactly the blocks that meet a vertex block in positive measure."""
+    seen = set()
+    for b in vertex_blocks:
+        while b is not None and b not in seen:
+            seen.add(b)
+            b = partition.parent.get(b)
+    return seen
 
 
 def restrict_system(system: FrameletSystem, vbm: VertexBlockMap) -> FrameletSystem:
     """Keep the scaling function and each atom whose support meets a vertex block.
 
-    Support intersections are exact rational measures, no tolerance. The
-    result is still a tight frame for the span of the vertex indicators,
-    since every dropped atom is orthogonal to it.
+    A block meets a vertex block exactly when it is that block or one of its
+    ancestors. The result is still a tight frame for the span of the vertex
+    indicators, since every dropped atom is orthogonal to it.
     """
-    part = system.partition
-    vblocks = [part.blocks[b] for b in vbm.blocks]
-    kept = [a for a in system.atoms
-            if _touches_vertices(part, a.block1, vblocks)
-            or _touches_vertices(part, a.block2, vblocks)]
-    return system.subset(kept)
+    effective = _effective_blocks(system.partition, vbm.blocks)
+    return system.subset(a for a in system.atoms
+                         if a.block1 in effective or a.block2 in effective)
 
 
 def prune_redundant(system: FrameletSystem, vbm: VertexBlockMap) -> tuple:
@@ -194,16 +205,9 @@ def prune_redundant(system: FrameletSystem, vbm: VertexBlockMap) -> tuple:
     frame bounds and rank on the span of the vertex indicators.
     """
     part = system.partition
-    vblocks = [part.blocks[b] for b in vbm.blocks]
+    effective = _effective_blocks(part, vbm.blocks)
     finest = system.depth - 1
     kept = []
-    effective_cache = {}
-
-    def effective(block_id):
-        if block_id not in effective_cache:
-            effective_cache[block_id] = _touches_vertices(part, block_id, vblocks)
-        return effective_cache[block_id]
-
     by_parent = {}
     for a in system.atoms:
         by_parent.setdefault((a.level, a.parent), []).append(a)
@@ -212,7 +216,7 @@ def prune_redundant(system: FrameletSystem, vbm: VertexBlockMap) -> tuple:
             kept.extend(atoms)
             continue
         kids = part.children[parent]
-        allowed = {pos for pos, cid in enumerate(kids, start=1) if effective(cid)}
+        allowed = {pos for pos, cid in enumerate(kids, start=1) if cid in effective}
         witness = next((pos for pos, cid in enumerate(kids, start=1)
                         if pos not in allowed), None)
         if witness is not None:

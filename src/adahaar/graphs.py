@@ -19,7 +19,7 @@ WEIGHT_TOL = 1e-12
 
 
 class Graph:
-    """Vertex labels plus a non-negative weight matrix.
+    """Vertex labels plus a finite, non-negative weight matrix.
 
     Undirected graphs require an exactly symmetric matrix. Self-loops are
     allowed (coarse-grained graphs produce them) and count once in degrees.
@@ -29,6 +29,11 @@ class Graph:
         W = np.array(weights, dtype=float)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise ValueError("weight matrix must be square")
+        if not np.isfinite(W).all():
+            bad = np.argwhere(~np.isfinite(W))
+            where = ", ".join(f"{W[i, j]} at ({i}, {j})" for i, j in bad[:5].tolist())
+            raise ValidationError(
+                f"weights must be finite; {len(bad)} are not: {where}")
         if np.any(W < 0):
             raise ValueError("weights must be non-negative")
         if not directed and not np.array_equal(W, W.T):

@@ -234,18 +234,22 @@ class PartitionReport:
 
 
 def validate_partition(p: HierarchicalPartition) -> PartitionReport:
-    """Check root tiling and nesting of every level; failures go in the report."""
+    """Check root tiling and nesting of every level; failures go in the report.
+
+    Overlaps are sought among siblings only: while every child lies inside
+    its parent, any two cousins lie inside a pair of sibling ancestors.
+    """
     report = PartitionReport()
     for level in p.levels:
         total = sum((p.blocks[b].measure for b in level), ZERO)
         report.level_residuals.append(total - ONE)
-        for a, b in combinations(level, 2):
-            if p.blocks[a].intersection_measure(p.blocks[b]) > 0:
-                report.overlaps.append((a, b))
     for child, par in p.parent.items():
         if not p.blocks[par].contains(p.blocks[child]):
             report.not_nested.append(child)
     for par, kids in p.children.items():
+        for a, b in combinations(kids, 2):
+            if p.blocks[a].intersection_measure(p.blocks[b]) > 0:
+                report.overlaps.append((a, b))
         if not kids:
             continue
         diff = sum((p.blocks[c].measure for c in kids), ZERO) - p.blocks[par].measure

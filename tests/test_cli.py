@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import adahaar as ah
+from adahaar.cli import _verify_checks
 from conftest import DIGRAPH_W, GX_CLUSTER_SETS, GY_CLUSTER_SETS, VERTICES, chain_from_sets
 
 
@@ -184,3 +185,70 @@ def test_graph_json_dense_matrix_accepted(tmp_path, toy_digraph):
     assert r.returncode == 0
     gx = ah.Graph.from_json(json.loads((tmp_path / "gx.json").read_text()))
     assert gx.weights.sum() == 12.0
+
+
+def build_only(d):
+    out = d / "built"
+    r = run_cli("build", "--chain-x", d / "chain_x.json", "--chain-y", d / "chain_y.json",
+                "--out", out)
+    assert r.returncode == 0, r.stderr
+    return out
+
+
+def bundle_args(out, vbm):
+    return ("--partition", out / "partition.json", "--system", out / "system_full.json",
+            "--vbm", vbm)
+
+
+@pytest.mark.parametrize("corrupt", ["shared_block", "not_a_leaf"])
+def test_bad_vertex_block_map_exit_3(workdir, corrupt):
+    out = build_only(workdir)
+    vbm = json.loads((out / "vbm.json").read_text())
+    vbm["blocks"]["a"] = vbm["blocks"]["b"] if corrupt == "shared_block" else 0
+    bad = out / "bad_vbm.json"
+    bad.write_text(json.dumps(vbm))
+    runs = [run_cli("analyze", workdir / "signal.csv", *bundle_args(out, bad),
+                    "--out", out / "coeffs.csv"),
+            run_cli("synthesize", out / "coeffs.csv", *bundle_args(out, bad),
+                    "--out", out / "back.csv"),
+            run_cli("verify", *bundle_args(out, bad))]
+    for r in runs:
+        assert r.returncode == 3, r.stdout + r.stderr
+        assert "vertex blocks" in r.stderr
+    assert not (out / "coeffs.csv").exists()
+
+
+@pytest.mark.parametrize("weight", ["NaN", "Infinity"])
+def test_non_finite_weight_exit_3(tmp_path, weight):
+    path = tmp_path / "digraph.json"
+    path.write_text('{"labels": ["a", "b", "c"], "directed": true, '
+                    '"edges": [["a", "b", 1.0], ["b", "c", %s]]}' % weight)
+    r = run_cli("symmetrize", path, "--out", tmp_path)
+    assert r.returncode == 3
+    assert "finite" in r.stderr and "(1, 2)" in r.stderr
+    assert not (tmp_path / "gx.json").exists()
+
+
+def test_duplicate_signal_label_exit_2(workdir):
+    out = build_only(workdir)
+    (workdir / "dup.csv").write_text("a,1\nb,2\na,5\n")
+    r = run_cli("analyze", workdir / "dup.csv", *bundle_args(out, out / "vbm.json"),
+                "--out", out / "coeffs.csv")
+    assert r.returncode == 2
+    assert "'a'" in r.stderr
+    assert not (out / "coeffs.csv").exists()
+
+
+def test_cross_scale_check_matches_pairwise_loop(toy_system, toy_embedding):
+    _, vbm = toy_embedding
+    for system in (toy_system, ah.restrict_system(toy_system, vbm)):
+        G = ah.gram_matrix(system)
+        levels = [-1] + [a.level for a in system.atoms]
+        worst = 0.0
+        for i in range(len(levels)):
+            for k in range(i + 1, len(levels)):
+                if levels[i] != levels[k]:
+                    worst = max(worst, abs(G[i, k]))
+        checks = {name: detail for name, _, detail in
+                  _verify_checks(system.partition, system, vbm, np.random.default_rng(0), 1)}
+        assert checks["cross_scale_orthogonality"] == f"max inner product {worst:.3e}"

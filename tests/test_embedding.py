@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import adahaar as ah
-from adahaar import DepthMismatch, UnknownVertex, ZeroDegreeCluster
+from adahaar import DepthMismatch, UnknownVertex, ValidationError, ZeroDegreeCluster
 
 from conftest import GX_LEAVES, GY_LEAVES, VERTICES
 
@@ -217,6 +217,18 @@ def test_vbm_json_roundtrip(toy_embedding):
     partition, vbm = toy_embedding
     back = ah.VertexBlockMap.from_json(partition, vbm.to_json())
     assert back.labels == vbm.labels and back.blocks == vbm.blocks
+
+
+def test_vbm_json_rejects_shared_and_non_leaf_blocks(toy_embedding):
+    partition, vbm = toy_embedding
+    obj = vbm.to_json()
+    obj["blocks"]["f"] = obj["blocks"]["a"]
+    with pytest.raises(ValidationError, match="shared"):
+        ah.VertexBlockMap.from_json(partition, obj)
+    obj = vbm.to_json()
+    obj["blocks"]["f"] = partition.root
+    with pytest.raises(ValidationError, match="not leaves"):
+        ah.VertexBlockMap.from_json(partition, obj)
 
 
 def test_vertex_span_bounds_agree_with_general_frame_bounds(toy_system, toy_embedding):

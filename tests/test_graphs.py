@@ -42,6 +42,14 @@ def test_symmetrize_single_vertex():
     assert gx.weights.sum() == 0 and gy.weights.sum() == 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_graph_rejects_non_finite_weights(bad):
+    W = np.ones((3, 3))
+    W[2, 0] = bad
+    with pytest.raises(ValidationError, match=r"finite.*\(2, 0\)"):
+        ah.Graph(W, directed=True)
+
+
 def test_symmetrize_transpose_swaps_pair(toy_digraph):
     gx, gy = ah.symmetrize(toy_digraph)
     rx, ry = ah.symmetrize(ah.Graph(toy_digraph.weights.T, VERTICES, directed=True))

@@ -1,0 +1,164 @@
+"""Tree-local validation and restriction against their pairwise-geometry oracles.
+
+The library decides "do these blocks overlap?" among siblings only and
+"does this block meet a vertex?" by ancestry. The functions below are the
+exact-geometry versions that compare every pair of blocks on a level and
+every block against every vertex block; they are kept here as oracles.
+"""
+
+from fractions import Fraction as F
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import adahaar as ah
+from adahaar.embedding import _effective_blocks
+from adahaar.hierarchy import Block, HierarchicalPartition, Interval, PartitionReport, ZERO, ONE
+
+from conftest import random_interval_levels
+
+
+def pairwise_validate(p):
+    """validate_partition comparing every pair of blocks on each level."""
+    report = PartitionReport()
+    for level in p.levels:
+        total = sum((p.blocks[b].measure for b in level), ZERO)
+        report.level_residuals.append(total - ONE)
+        for a, b in combinations(level, 2):
+            if p.blocks[a].intersection_measure(p.blocks[b]) > 0:
+                report.overlaps.append((a, b))
+    for child, par in p.parent.items():
+        if not p.blocks[par].contains(p.blocks[child]):
+            report.not_nested.append(child)
+    for par, kids in p.children.items():
+        if not kids:
+            continue
+        diff = sum((p.blocks[c].measure for c in kids), ZERO) - p.blocks[par].measure
+        if diff != 0:
+            report.bad_parents.append((par, diff))
+    return report
+
+
+def touches_vertices(partition, block_id, vbm):
+    blk = partition.blocks[block_id]
+    return any(blk.intersection_measure(partition.blocks[v]) > 0 for v in vbm.blocks)
+
+
+def geometric_restrict_keys(system, vbm):
+    part = system.partition
+    return [a.key for a in system.atoms
+            if touches_vertices(part, a.block1, vbm) or touches_vertices(part, a.block2, vbm)]
+
+
+def geometric_prune_keys(system, vbm):
+    part = system.partition
+    finest = system.depth - 1
+    by_parent = {}
+    for a in system.atoms:
+        by_parent.setdefault((a.level, a.parent), []).append(a)
+    kept = []
+    for (level, parent), atoms in sorted(by_parent.items()):
+        if level != finest:
+            kept.extend(atoms)
+            continue
+        kids = part.children[parent]
+        allowed = {pos for pos, cid in enumerate(kids, start=1)
+                   if touches_vertices(part, cid, vbm)}
+        witness = next((pos for pos in range(1, len(kids) + 1) if pos not in allowed), None)
+        if witness is not None:
+            allowed.add(witness)
+        kept.extend(a for a in atoms if a.l1 in allowed and a.l2 in allowed)
+    return [a.key for a in kept]
+
+
+def _shift_endpoint(draw, p, blocks, children):
+    bid = draw(st.sampled_from(sorted(set(p.blocks) - {p.root})))
+    k = draw(st.integers(0, p.dimension - 1))
+    side = p.blocks[bid].sides[k]
+    t = F(draw(st.integers(0, 6)), 7)
+    if draw(st.booleans()):
+        moved = Interval(side.lo, side.lo + (ONE - side.lo) * (1 - t))
+    else:
+        moved = Interval(side.hi * t, side.hi)
+    sides = list(p.blocks[bid].sides)
+    sides[k] = moved
+    blocks[bid] = Block(bid, tuple(sides))
+
+
+def _reattach_child(draw, p, blocks, children):
+    # a block two or more levels down moves to a cousin's parent
+    movable = [c for level in p.levels[2:] for c in level
+               if len(p.levels[p.level_of[c] - 1]) > 1]
+    if not movable:
+        return
+    c = draw(st.sampled_from(movable))
+    old = p.parent[c]
+    new = draw(st.sampled_from([q for q in p.levels[p.level_of[old]] if q != old]))
+    children[old] = [x for x in children[old] if x != c]
+    pos = draw(st.integers(0, len(children[new])))
+    children[new] = children[new][:pos] + [c] + children[new][pos:]
+
+
+@st.composite
+def partitions(draw):
+    """Random nested interval or tensor partitions, some corrupted on purpose."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        depth = draw(st.integers(1, 2))
+        px, py = (ah.refine_interval_level(random_interval_levels(rng, depth))
+                  for _ in range(2))
+        p = ah.tensor_partitions(px, py)
+    else:
+        p = ah.refine_interval_level(random_interval_levels(rng, draw(st.integers(1, 3))))
+    blocks = dict(p.blocks)
+    children = {b: list(kids) for b, kids in p.children.items()}
+    corrupt = draw(st.sampled_from([None, _shift_endpoint, _reattach_child]))
+    if corrupt is not None:
+        corrupt(draw, p, blocks, children)
+    return HierarchicalPartition(p.dimension, p.levels, blocks, children), corrupt is None
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(partitions())
+def test_local_validation_agrees_with_pairwise(case):
+    p, clean = case
+    local, pairwise = ah.validate_partition(p), pairwise_validate(p)
+    assert local.ok == pairwise.ok
+    assert type(local.first_error()) is type(pairwise.first_error())
+    assert set(local.overlaps) <= set(pairwise.overlaps)
+    if not local.not_nested:
+        assert bool(local.overlaps) == bool(pairwise.overlaps)
+    if clean:
+        assert local.ok
+
+
+def random_digraph(rng, n, float_weights):
+    adj = rng.random((n, n)) < 0.2
+    order = rng.permutation(n)
+    adj[order[:-1], order[1:]] = True
+    np.fill_diagonal(adj, False)
+    if float_weights:
+        W = np.where(adj, rng.integers(101, 1001, size=(n, n)) / 1000, 0.0)
+    else:
+        W = np.where(adj, rng.integers(1, 4, size=(n, n)), 0).astype(float)
+    return ah.Graph(W, [f"v{k}" for k in range(n)], directed=True)
+
+
+@pytest.mark.parametrize("float_weights", [False, True])
+@pytest.mark.parametrize("n", range(4, 13))
+def test_restrict_and_prune_match_geometric_oracle(n, float_weights):
+    g = random_digraph(np.random.default_rng([n, int(float_weights)]), n, float_weights)
+    gx, gy = ah.symmetrize(g)
+    cx, cy = ah.build_chain(gx), ah.build_chain(gy)
+    depth = max(cx.depth, cy.depth)
+    partition, vbm = ah.digraph_embedding(g, ah.pad_chain(cx, depth), ah.pad_chain(cy, depth))
+    effective = _effective_blocks(partition, vbm.blocks)
+    assert effective == {b for b in partition.blocks if touches_vertices(partition, b, vbm)}
+    system = ah.build_system(partition)
+    restricted = ah.restrict_system(system, vbm)
+    assert [a.key for a in restricted.atoms] == geometric_restrict_keys(system, vbm)
+    pruned, _ = ah.prune_redundant(restricted, vbm)
+    assert [a.key for a in pruned.atoms] == geometric_prune_keys(restricted, vbm)
