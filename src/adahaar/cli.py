@@ -9,6 +9,7 @@ repeated runs produce byte-identical artifacts. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -46,29 +47,44 @@ def _write_json(path, obj):
 
 
 def _read_signal_csv(path):
+    """label,value rows (csv quoting); blank lines and a `label,value` header are skipped."""
     signal = {}
     try:
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            for row in reader:
+                where = f"{path}: line {reader.line_num}"
+                if not "".join(row).strip():
                     continue
-                label, _, value = line.partition(",")
-                if value.strip() in ("value", ""):  # header or blank
+                if len(row) != 2:
+                    raise ParseError(f"{where}: expected 2 fields (label,value), got {len(row)}")
+                label, value = row[0].strip(), row[1].strip()
+                if value == "value" and not signal:  # header
                     continue
-                label = label.strip()
                 if label in signal:
-                    raise ParseError(f"{path}: label {label!r} appears more than once")
-                signal[label] = float(value)
-    except (OSError, ValueError) as exc:
+                    raise ParseError(f"{where}: label {label!r} appears more than once")
+                try:
+                    signal[label] = float(value)
+                except ValueError as exc:
+                    raise ParseError(f"{where}: {exc}") from exc
+    except (OSError, csv.Error) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return signal
 
 
 def _write_signal_csv(path, signal, labels):
     with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
         for lab in labels:
-            fh.write("%s,%.17g\n" % (lab, signal[lab]))
+            w.writerow([lab, "%.17g" % signal[lab]])
+
+
+def _read_coefficients(path, system):
+    try:
+        with open(path, newline="") as fh:
+            return coefficients_from_csv(system, fh)
+    except (OSError, csv.Error, ParseError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _load_bundle(args):
@@ -153,9 +169,7 @@ def cmd_synthesize(args) -> int:
     partition, system, vbm = _load_bundle(args)
     if vbm is None:
         raise ParseError("synthesize needs --vbm to read the result at the vertices")
-    with open(args.coefficients) as fh:
-        cv = coefficients_from_csv(system, fh)
-    f = synthesize(system, cv)
+    f = synthesize(system, _read_coefficients(args.coefficients, system))
     _write_signal_csv(args.out, function_to_signal(f, vbm), vbm.labels)
     print(f"signal written to {args.out}")
     return 0
@@ -176,7 +190,7 @@ def _verify_checks(partition, system, vbm, rng, n_signals=20):
             worst = max(worst, float(np.abs(A.T @ A - np.eye(len(b))).max()))
     yield "refinement_orthogonality", worst <= 1e-12, f"max residual {worst:.3e}"
 
-    mu = framelets.leaf_measures(partition)
+    mu = partition.leaf_measures
     integrals = system.function_matrix()[1:] @ mu
     worst = float(np.abs(integrals).max(initial=0.0))
     yield "vanishing_moments", worst <= 1e-12, f"max |integral| {worst:.3e}"

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (DepthMismatch, ParseError, UnknownVertex, ValidationError,
                      ZeroDegreeCluster)
-from .framelets import RANK_TOL, FrameletSystem, PwcFunction, leaf_measures
+from .framelets import RANK_TOL, FrameletSystem, PwcFunction
 from .graphs import Chain, Graph
 from .hierarchy import HierarchicalPartition, refine_interval_level, tensor_partitions
 
@@ -106,8 +106,7 @@ class VertexBlockMap:
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed vertex block map JSON: {exc}") from exc
         counts = Counter(blocks)
-        leaves = set(partition.leaf_ids)
-        bad = sorted(b for b in counts if b not in leaves)
+        bad = sorted(b for b in counts if b not in partition.leaf_index)
         if bad:
             raise ValidationError(f"vertex blocks are not leaves of the partition: {bad}")
         repeated = sorted(b for b, k in counts.items() if k > 1)
@@ -131,16 +130,12 @@ def digraph_embedding(g: Graph, chain_x: Chain, chain_y: Chain) -> tuple:
     ex = chain_to_intervals(chain_x)
     ey = chain_to_intervals(chain_y)
     tensor = tensor_partitions(ex.partition, ey.partition)
-    J = tensor.depth
-    nx = len(ex.partition.levels[J])
-    xpos = {bid: i for i, bid in enumerate(ex.partition.levels[J])}
-    ypos = {bid: i for i, bid in enumerate(ey.partition.levels[J])}
-    leaf_level = tensor.levels[J]
+    nx = len(ex.partition.leaf_ids)
     blocks = []
     for v in range(g.n):
-        kx = xpos[ex.leaf_block(v)]
-        ky = ypos[ey.leaf_block(v)]
-        blocks.append(leaf_level[ky * nx + kx])
+        kx = ex.partition.leaf_index[ex.leaf_block(v)]
+        ky = ey.partition.leaf_index[ey.leaf_block(v)]
+        blocks.append(tensor.leaf_ids[ky * nx + kx])
     return tensor, VertexBlockMap(tensor, tuple(g.labels), tuple(blocks))
 
 
@@ -237,11 +232,9 @@ def vertex_span_bounds(system: FrameletSystem, vbm: VertexBlockMap) -> tuple:
     M[h, v] = <h, indicator_v>/sqrt(measure_v).
     """
     part = system.partition
-    mu = leaf_measures(part)
-    leaf_pos = {b: i for i, b in enumerate(part.leaf_ids)}
-    cols = [leaf_pos[b] for b in vbm.blocks]
+    cols = [part.leaf_index[b] for b in vbm.blocks]
     F = system.function_matrix()
-    scale = np.sqrt(mu[cols])
+    scale = np.sqrt(part.leaf_measures[cols])
     M = F[:, cols] * scale  # value at the block times sqrt(measure)
     ev = np.linalg.eigvalsh(M.T @ M)
     rank = int((ev > RANK_TOL * max(ev[-1], 1e-300)).sum())

@@ -6,8 +6,9 @@ indicators that integrates to zero. Together with the normalized root
 indicator these form a tight frame for the span of the finest-level
 indicators; when every split is binary the system is an orthonormal basis.
 
-Functions are materialized at the finest level of the partition and all
-inner products are direct measure-weighted sums.
+An atom is a key (a parent block and a pair of its children) plus its two
+heights; its leaf values, the scaling function and the leaf measures come
+from the partition. Inner products are measure-weighted sums over leaves.
 """
 
 from __future__ import annotations
@@ -80,8 +81,7 @@ class PwcFunction:
     values: dict
 
     def __post_init__(self):
-        leaf_set = set(self.partition.leaf_ids)
-        bad = [k for k in self.values if k not in leaf_set]
+        bad = [k for k in self.values if k not in self.partition.leaf_index]
         if bad:
             raise ValueError(f"values keyed by non-leaf blocks: {bad[:5]}")
 
@@ -93,19 +93,14 @@ class PwcFunction:
         return cls(partition, dict(zip(partition.leaf_ids, map(float, vec))))
 
 
-def leaf_measures(partition) -> np.ndarray:
-    return np.array([float(partition.blocks[b].measure) for b in partition.leaf_ids])
-
-
 def inner_product(f: PwcFunction, g: PwcFunction) -> float:
     """L2 inner product: sum over leaves of f*g weighted by leaf measure."""
     if f.partition != g.partition:
         raise PartitionMismatch("functions live on different partitions")
     if len(g.values) < len(f.values):
         f, g = g, f
-    blocks = f.partition.blocks
-    return math.fsum(v * g.values.get(k, 0.0) * float(blocks[k].measure)
-                     for k, v in f.values.items())
+    mu, pos = f.partition.leaf_measures, f.partition.leaf_index
+    return math.fsum(v * g.values.get(k, 0.0) * mu[pos[k]] for k, v in f.values.items())
 
 
 def norm2(f: PwcFunction) -> float:
@@ -117,20 +112,28 @@ class FrameletAtom:
     """One generator: supported on two sibling blocks, zero integral.
 
     l1 < l2 are 1-based positions within the parent's child list; block1 and
-    block2 are the corresponding block ids.
+    block2 are the corresponding block ids, value1 and value2 its heights there.
     """
 
+    partition: HierarchicalPartition
     level: int
     parent: int
     l1: int
     l2: int
     block1: int
     block2: int
-    function: PwcFunction
+    value1: float
+    value2: float
 
     @property
     def key(self) -> tuple:
         return (self.level, self.parent, self.l1, self.l2)
+
+    @property
+    def function(self) -> PwcFunction:
+        values = {leaf: self.value1 for leaf in self.partition.leaves_under(self.block1)}
+        values.update({leaf: self.value2 for leaf in self.partition.leaves_under(self.block2)})
+        return PwcFunction(self.partition, values)
 
 
 def make_atom(partition, level, parent, l1, l2) -> FrameletAtom:
@@ -146,10 +149,7 @@ def make_atom(partition, level, parent, l1, l2) -> FrameletAtom:
     # ratio is an exact rational, so only the final sqrt rounds
     v1 = math.sqrt(float((m2 / pm) / m1))
     v2 = -math.sqrt(float((m1 / pm) / m2))
-    values = {leaf: v1 for leaf in partition.leaves_under(b1_id)}
-    values.update({leaf: v2 for leaf in partition.leaves_under(b2_id)})
-    return FrameletAtom(level, parent, l1, l2, b1_id, b2_id,
-                        PwcFunction(partition, values))
+    return FrameletAtom(partition, level, parent, l1, l2, b1_id, b2_id, v1, v2)
 
 
 def build_generators(partition, parent) -> list:
@@ -163,20 +163,25 @@ def build_generators(partition, parent) -> list:
 class FrameletSystem:
     """The normalized root indicator plus generators for levels 0..depth-1.
 
-    Immutable; `subset` derives restricted systems that share the partition
-    and scaling function. Atom order is (level, parent id, pair rank), which
-    fixes the coefficient indexing used for serialization.
+    Immutable; `subset` derives restricted systems on the same partition.
+    Atom order is (level, parent id, pair rank), which fixes the
+    coefficient indexing used for serialization.
     """
 
-    def __init__(self, partition, depth, scaling, atoms):
+    def __init__(self, partition, depth, atoms):
         self.partition = partition
         self.depth = depth
-        self.scaling = scaling
         self.atoms = tuple(atoms)
         self._matrix = None
 
     def __len__(self):
         return 1 + len(self.atoms)
+
+    @property
+    def scaling(self) -> PwcFunction:
+        """The normalized indicator of the root block."""
+        v = 1.0 / math.sqrt(float(self.partition.measure))
+        return PwcFunction(self.partition, {leaf: v for leaf in self.partition.leaf_ids})
 
     def functions(self):
         """The scaling function followed by every atom function."""
@@ -191,7 +196,7 @@ class FrameletSystem:
         return counts
 
     def subset(self, atoms) -> "FrameletSystem":
-        return FrameletSystem(self.partition, self.depth, self.scaling, atoms)
+        return FrameletSystem(self.partition, self.depth, atoms)
 
     def function_matrix(self) -> np.ndarray:
         """Row per function, column per leaf of the partition (cached)."""
@@ -212,12 +217,7 @@ class FrameletSystem:
                      for j, p, l1, l2 in obj["atoms"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed system JSON: {exc}") from exc
-        return cls(partition, depth, scaling_function(partition), atoms)
-
-
-def scaling_function(partition) -> PwcFunction:
-    v = 1.0 / math.sqrt(float(partition.measure))
-    return PwcFunction(partition, {leaf: v for leaf in partition.leaf_ids})
+        return cls(partition, depth, atoms)
 
 
 def build_system(partition, depth=None) -> FrameletSystem:
@@ -230,7 +230,7 @@ def build_system(partition, depth=None) -> FrameletSystem:
     for j in range(depth):
         for parent in partition.levels[j]:
             atoms.extend(build_generators(partition, parent))
-    return FrameletSystem(partition, depth, scaling_function(partition), atoms)
+    return FrameletSystem(partition, depth, atoms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,7 +253,7 @@ def analyze(system: FrameletSystem, f: PwcFunction) -> CoefficientVector:
     """Inner products of f against every system function."""
     if f.partition != system.partition:
         raise PartitionMismatch("signal lives on a different partition")
-    weighted = system.function_matrix() * leaf_measures(system.partition)
+    weighted = system.function_matrix() * system.partition.leaf_measures
     c = weighted @ f.to_vector()
     return CoefficientVector(system, float(c[0]), c[1:])
 
@@ -271,8 +271,7 @@ def synthesize(system: FrameletSystem, cv: CoefficientVector) -> PwcFunction:
 def gram_matrix(system: FrameletSystem) -> np.ndarray:
     """Pairwise inner products of all system functions (scaling first)."""
     F = system.function_matrix()
-    mu = leaf_measures(system.partition)
-    return (F * mu) @ F.T
+    return (F * system.partition.leaf_measures) @ F.T
 
 
 def frame_bounds(functions, space) -> tuple:
@@ -289,7 +288,7 @@ def frame_bounds(functions, space) -> tuple:
     for g in list(functions) + list(space):
         if g.partition != part:
             raise PartitionMismatch("all functions must share one partition")
-    mu = leaf_measures(part)
+    mu = part.leaf_measures
     S = np.vstack([g.to_vector() for g in space])
     F = np.vstack([f.to_vector() for f in functions])
     G = (S * mu) @ S.T
@@ -302,27 +301,40 @@ def frame_bounds(functions, space) -> tuple:
     return float(ev[0]), float(ev[-1])
 
 
+SCALING_KEY = (-1, 0, 0, 0)  # the coefficient CSV's row for the scaling function
+
+
 def coefficients_to_csv(cv: CoefficientVector, fh) -> None:
     """Rows (level, parent, l1, l2, value); the scaling row is (-1, 0, 0, 0, c0)."""
     w = csv.writer(fh)
     w.writerow(["level", "parent", "l1", "l2", "value"])
-    w.writerow([-1, 0, 0, 0, "%.17g" % cv.c0])
+    w.writerow([*SCALING_KEY, "%.17g" % cv.c0])
     for a, c in zip(cv.system.atoms, cv.coefficients):
         w.writerow([a.level, a.parent, a.l1, a.l2, "%.17g" % c])
 
 
 def coefficients_from_csv(system: FrameletSystem, fh) -> CoefficientVector:
-    rows = [r for r in csv.reader(fh) if r]
-    if rows and rows[0][0] == "level":
-        rows = rows[1:]
+    """Read the rows coefficients_to_csv writes; a malformed or repeated row is a ParseError."""
+    reader = csv.reader(fh)
     got = {}
-    c0 = 0.0
-    for lvl, parent, l1, l2, value in rows:
-        key = (int(lvl), int(parent), int(l1), int(l2))
+    for row in reader:
+        if not row or (row[0] == "level" and not got):  # blank or header
+            continue
+        where = f"line {reader.line_num}"
+        if len(row) != 5:
+            raise ParseError(f"{where}: expected 5 fields (level, parent, l1, l2, value), "
+                             f"got {len(row)}")
+        try:
+            key = tuple(int(x) for x in row[:4])
+            value = float(row[4])
+        except ValueError as exc:
+            raise ParseError(f"{where}: {exc}") from exc
         if key[0] == -1:
-            c0 = float(value)
-        else:
-            got[key] = float(value)
+            key = SCALING_KEY
+        if key in got:
+            raise ParseError(f"{where}: coefficient {key} appears more than once")
+        got[key] = value
+    c0 = got.pop(SCALING_KEY, 0.0)
     keys = [a.key for a in system.atoms]
     if set(got) != set(keys):
         raise IndexMismatch("coefficient rows do not match the system's atoms")

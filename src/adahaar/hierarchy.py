@@ -9,7 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+
+import numpy as np
 
 from .errors import DepthMismatch, GapOrOverlap, NotNested, ParseError
 
@@ -65,7 +68,7 @@ class Block:
     def dimension(self) -> int:
         return len(self.sides)
 
-    @property
+    @cached_property
     def measure(self) -> Fraction:
         m = ONE
         for s in self.sides:
@@ -91,6 +94,8 @@ class HierarchicalPartition:
     `levels[j]` lists the block ids of level j in construction order,
     `children[id]` the ordered child ids of a non-leaf block. Level 0 is the
     single root block; every block is tiled exactly by its children.
+    `leaf_index` (leaf id -> position) and the read-only float `leaf_measures`
+    follow the order of `leaf_ids`.
     Instances are immutable; builders and `from_json` are the only intended
     constructors.
     """
@@ -122,6 +127,9 @@ class HierarchicalPartition:
                     for c in kids:
                         acc.extend(self._leaves_under[c])
                     self._leaves_under[b] = tuple(acc)
+        self.leaf_index = {b: i for i, b in enumerate(self.leaf_ids)}
+        self.leaf_measures = np.array([float(self.blocks[b].measure) for b in self.leaf_ids])
+        self.leaf_measures.setflags(write=False)
 
     @property
     def depth(self) -> int:

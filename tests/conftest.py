@@ -80,6 +80,20 @@ def random_interval_levels(rng, depth, max_children=3, denominators=(2, 3, 4, 5)
     return levels
 
 
+def random_digraph(rng, n, float_weights):
+    """Weakly connected random digraph: a random Hamiltonian path plus edges
+    with probability 0.2; weights in {1, 2, 3} or three-decimal floats."""
+    adj = rng.random((n, n)) < 0.2
+    order = rng.permutation(n)
+    adj[order[:-1], order[1:]] = True
+    np.fill_diagonal(adj, False)
+    if float_weights:
+        W = np.where(adj, rng.integers(101, 1001, size=(n, n)) / 1000, 0.0)
+    else:
+        W = np.where(adj, rng.integers(1, 4, size=(n, n)), 0).astype(float)
+    return ah.Graph(W, [f"v{k}" for k in range(n)], directed=True)
+
+
 @pytest.fixture(scope="session")
 def toy_digraph():
     return ah.Graph(DIGRAPH_W, VERTICES, directed=True)

@@ -1,4 +1,6 @@
+import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,13 @@ from adahaar.cli import _verify_checks
 from conftest import DIGRAPH_W, GX_CLUSTER_SETS, GY_CLUSTER_SETS, VERTICES, chain_from_sets
 
 
+SRC = str(Path(ah.__file__).resolve().parent.parent)
+
+
 def run_cli(*args, env=None):
+    """Run the CLI in a child interpreter that imports the same adahaar as the tests."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     cmd = [sys.executable, "-m", "adahaar", *map(str, args)]
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
@@ -252,3 +260,95 @@ def test_cross_scale_check_matches_pairwise_loop(toy_system, toy_embedding):
         checks = {name: detail for name, _, detail in
                   _verify_checks(system.partition, system, vbm, np.random.default_rng(0), 1)}
         assert checks["cross_scale_orthogonality"] == f"max inner product {worst:.3e}"
+
+
+def test_label_with_comma_round_trips(tmp_path):
+    labels = ["a", "x,y", 'say "hi"', "d", "e", "f"]
+    (tmp_path / "digraph.json").write_text(
+        json.dumps(ah.Graph(DIGRAPH_W, labels, directed=True).to_json()))
+    values = [1.5, -2.0, 0.25, 3.0, 0.0, -1.0]
+    with open(tmp_path / "signal.csv", "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(zip(labels, values))
+    w = tmp_path / "w"
+    assert run_cli("symmetrize", tmp_path / "digraph.json", "--out", w).returncode == 0
+    for name in ("gx", "gy"):
+        r = run_cli("chain", w / f"{name}.json", "--out", w / f"chain_{name}.json")
+        assert r.returncode == 0, r.stderr
+    r = run_cli("build", "--chain-x", w / "chain_gx.json", "--chain-y", w / "chain_gy.json",
+                "--out", w)
+    assert r.returncode == 0, r.stderr
+    args = bundle_args(w, w / "vbm.json")
+    r = run_cli("analyze", tmp_path / "signal.csv", *args, "--out", w / "coeffs.csv")
+    assert r.returncode == 0, r.stderr
+    r = run_cli("synthesize", w / "coeffs.csv", *args, "--out", w / "back.csv")
+    assert r.returncode == 0, r.stderr
+    with open(w / "back.csv", newline="") as fh:
+        back = {lab: float(val) for lab, val in csv.reader(fh)}
+    text = (w / "back.csv").read_text()
+    assert text.splitlines()[0] == "a,%.17g" % back["a"]  # plain labels stay unquoted
+    assert '"x,y",' in text and '"say ""hi""",' in text
+    assert list(back) == labels
+    assert all(abs(back[lab] - val) <= 1e-10 for lab, val in zip(labels, values))
+    # what synthesize writes, analyze reads
+    r = run_cli("analyze", w / "back.csv", *args, "--out", w / "coeffs2.csv")
+    assert r.returncode == 0, r.stderr
+
+
+def test_signal_row_with_wrong_field_count_exit_2(workdir):
+    out = build_only(workdir)
+    (workdir / "bad.csv").write_text("label,value\na,1\nb,2,3\n")
+    r = run_cli("analyze", workdir / "bad.csv", *bundle_args(out, out / "vbm.json"),
+                "--out", out / "coeffs.csv")
+    assert r.returncode == 2
+    assert "bad.csv: line 3" in r.stderr and "got 3" in r.stderr
+    assert not (out / "coeffs.csv").exists()
+
+
+@pytest.fixture()
+def coefficients(workdir):
+    """(build directory, rows of a valid full-system coefficient CSV)."""
+    out = build_only(workdir)
+    r = run_cli("analyze", workdir / "signal.csv", *bundle_args(out, out / "vbm.json"),
+                "--out", out / "coeffs.csv")
+    assert r.returncode == 0, r.stderr
+    return out, (out / "coeffs.csv").read_text().splitlines()
+
+
+def synthesize_rows(out, name, rows):
+    path = out / name
+    if rows is not None:
+        path.write_text("\n".join(rows) + "\n")
+    return run_cli("synthesize", path, *bundle_args(out, out / "vbm.json"),
+                   "--out", out / "back.csv")
+
+
+def test_missing_coefficient_file_exit_2(coefficients):
+    out, _ = coefficients
+    r = synthesize_rows(out, "missing.csv", None)
+    assert r.returncode == 2
+    assert "missing.csv" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_coefficient_row_with_wrong_field_count_exit_2(coefficients):
+    out, rows = coefficients
+    rows[3] = ",".join(rows[3].split(",")[:3])
+    r = synthesize_rows(out, "short.csv", rows)
+    assert r.returncode == 2
+    assert "short.csv: line 4" in r.stderr and "expected 5 fields" in r.stderr
+
+
+def test_coefficient_field_not_a_number_exit_2(coefficients):
+    out, rows = coefficients
+    rows[2] = rows[2].rsplit(",", 1)[0] + ",abc"
+    r = synthesize_rows(out, "nan.csv", rows)
+    assert r.returncode == 2
+    assert "nan.csv: line 3" in r.stderr and "'abc'" in r.stderr
+
+
+def test_repeated_coefficient_key_exit_2(coefficients):
+    out, rows = coefficients
+    rows.append(rows[2])
+    r = synthesize_rows(out, "dup.csv", rows)
+    assert r.returncode == 2
+    assert f"dup.csv: line {len(rows)}" in r.stderr and "more than once" in r.stderr
+    assert not (out / "back.csv").exists()

@@ -18,7 +18,7 @@ import adahaar as ah
 from adahaar.embedding import _effective_blocks
 from adahaar.hierarchy import Block, HierarchicalPartition, Interval, PartitionReport, ZERO, ONE
 
-from conftest import random_interval_levels
+from conftest import random_digraph, random_interval_levels
 
 
 def pairwise_validate(p):
@@ -133,18 +133,6 @@ def test_local_validation_agrees_with_pairwise(case):
         assert bool(local.overlaps) == bool(pairwise.overlaps)
     if clean:
         assert local.ok
-
-
-def random_digraph(rng, n, float_weights):
-    adj = rng.random((n, n)) < 0.2
-    order = rng.permutation(n)
-    adj[order[:-1], order[1:]] = True
-    np.fill_diagonal(adj, False)
-    if float_weights:
-        W = np.where(adj, rng.integers(101, 1001, size=(n, n)) / 1000, 0.0)
-    else:
-        W = np.where(adj, rng.integers(1, 4, size=(n, n)), 0).astype(float)
-    return ah.Graph(W, [f"v{k}" for k in range(n)], directed=True)
 
 
 @pytest.mark.parametrize("float_weights", [False, True])
