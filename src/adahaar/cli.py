@@ -67,6 +67,8 @@ def _read_signal_csv(path):
                     signal[label] = float(value)
                 except ValueError as exc:
                     raise ParseError(f"{where}: {exc}") from exc
+                if not math.isfinite(signal[label]):
+                    raise ParseError(f"{where}: value {value!r} is not finite")
     except (OSError, csv.Error) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return signal
@@ -117,7 +119,11 @@ def cmd_chain(args) -> int:
         g = Graph.from_json(_load_json(args.graph))
         targets = None
         if args.target_per_level:
-            targets = [int(t) for t in args.target_per_level.split(",")]
+            try:
+                targets = [int(t) for t in args.target_per_level.split(",")]
+            except ValueError:
+                raise ParseError(f"--target-per-level needs comma-separated integers, "
+                                 f"got {args.target_per_level!r}") from None
         chain = build_chain(g, max_depth=args.depth, targets=targets)
         chain.validate()
     _write_json(args.out, chain.to_json())
@@ -181,13 +187,10 @@ def _verify_checks(partition, system, vbm, rng, n_signals=20):
     worst = 0.0
     for j in range(system.depth):
         for parent in partition.levels[j]:
-            kids = partition.children[parent]
-            if len(kids) < 2:
-                continue
-            pm = partition.blocks[parent].measure
-            b = [float(partition.blocks[c].measure / pm) for c in kids]
-            A = refinement_matrix(b)
-            worst = max(worst, float(np.abs(A.T @ A - np.eye(len(b))).max()))
+            b = partition.split_weights[parent]
+            if len(b) > 1:
+                A = refinement_matrix(b)
+                worst = max(worst, float(np.abs(A.T @ A - np.eye(len(b))).max()))
     yield "refinement_orthogonality", worst <= 1e-12, f"max residual {worst:.3e}"
 
     mu = partition.leaf_measures
@@ -197,9 +200,8 @@ def _verify_checks(partition, system, vbm, rng, n_signals=20):
 
     worst = 0.0
     for a in system.atoms:
-        pm = partition.blocks[a.parent].measure
-        expect = float((partition.blocks[a.block1].measure
-                        + partition.blocks[a.block2].measure) / pm)
+        b = partition.split_weights[a.parent]
+        expect = float(b[a.l1 - 1] + b[a.l2 - 1])
         got = inner_product(a.function, a.function)
         worst = max(worst, abs(got - expect))
     yield "atom_norms", worst <= 1e-12, f"max norm error {worst:.3e}"

@@ -6,9 +6,9 @@ indicators that integrates to zero. Together with the normalized root
 indicator these form a tight frame for the span of the finest-level
 indicators; when every split is binary the system is an orthonormal basis.
 
-An atom is a key (a parent block and a pair of its children) plus its two
-heights; its leaf values, the scaling function and the leaf measures come
-from the partition. Inner products are measure-weighted sums over leaves.
+An atom is a key, a parent block and a pair of its children: its heights
+(from the split weights), its leaf values, the scaling function and the leaf
+measures come from the partition. Inner products sum over weighted leaves.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import (BadPair, BadWeights, DegenerateSpan, IndexMismatch,
-                     ParseError, PartitionMismatch)
+                     ParseError, PartitionMismatch, ValidationError)
 from .hierarchy import HierarchicalPartition
 
 RANK_TOL = 1e-10
@@ -112,7 +112,7 @@ class FrameletAtom:
     """One generator: supported on two sibling blocks, zero integral.
 
     l1 < l2 are 1-based positions within the parent's child list; block1 and
-    block2 are the corresponding block ids, value1 and value2 its heights there.
+    block2 are the corresponding block ids, where `heights` gives its values.
     """
 
     partition: HierarchicalPartition
@@ -122,17 +122,23 @@ class FrameletAtom:
     l2: int
     block1: int
     block2: int
-    value1: float
-    value2: float
 
     @property
     def key(self) -> tuple:
         return (self.level, self.parent, self.l1, self.l2)
 
     @property
+    def heights(self) -> tuple:
+        """+-sqrt(sibling's split weight / own measure) on block1, block2; exact before the sqrt."""
+        b, blocks = self.partition.split_weights[self.parent], self.partition.blocks
+        return (math.sqrt(float(b[self.l2 - 1] / blocks[self.block1].measure)),
+                -math.sqrt(float(b[self.l1 - 1] / blocks[self.block2].measure)))
+
+    @property
     def function(self) -> PwcFunction:
-        values = {leaf: self.value1 for leaf in self.partition.leaves_under(self.block1)}
-        values.update({leaf: self.value2 for leaf in self.partition.leaves_under(self.block2)})
+        h1, h2 = self.heights
+        values = {leaf: h1 for leaf in self.partition.leaves_under(self.block1)}
+        values.update({leaf: h2 for leaf in self.partition.leaves_under(self.block2)})
         return PwcFunction(self.partition, values)
 
 
@@ -141,15 +147,7 @@ def make_atom(partition, level, parent, l1, l2) -> FrameletAtom:
     m = len(kids)
     if not (1 <= l1 < l2 <= m):
         raise BadPair(f"pair ({l1}, {l2}) out of range for parent {parent} with {m} children")
-    b1_id, b2_id = kids[l1 - 1], kids[l2 - 1]
-    pm = partition.blocks[parent].measure
-    m1 = partition.blocks[b1_id].measure
-    m2 = partition.blocks[b2_id].measure
-    # value on a child = sqrt(sibling weight) / sqrt(child measure); the
-    # ratio is an exact rational, so only the final sqrt rounds
-    v1 = math.sqrt(float((m2 / pm) / m1))
-    v2 = -math.sqrt(float((m1 / pm) / m2))
-    return FrameletAtom(partition, level, parent, l1, l2, b1_id, b2_id, v1, v2)
+    return FrameletAtom(partition, level, parent, l1, l2, kids[l1 - 1], kids[l2 - 1])
 
 
 def build_generators(partition, parent) -> list:
@@ -211,13 +209,29 @@ class FrameletSystem:
 
     @classmethod
     def from_json(cls, partition, obj) -> "FrameletSystem":
+        """Read `to_json` output; each atom key must be a distinct generator of the partition."""
         try:
             depth = int(obj["depth"])
-            atoms = [make_atom(partition, int(j), int(p), int(l1), int(l2))
-                     for j, p, l1, l2 in obj["atoms"]]
+            keys = [(int(j), int(p), int(l1), int(l2)) for j, p, l1, l2 in obj["atoms"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed system JSON: {exc}") from exc
-        return cls(partition, depth, atoms)
+        if not 0 <= depth <= partition.depth:
+            raise ValidationError(
+                f"system depth {depth} is outside 0..{partition.depth}, the partition's depth")
+        seen = set()
+        for key in keys:
+            level, parent = key[:2]
+            if key in seen:
+                raise ValidationError(f"atom {key} appears more than once")
+            if parent not in partition.level_of:
+                raise ValidationError(f"atom {key}: the partition has no block {parent}")
+            if level != partition.level_of[parent]:
+                raise ValidationError(
+                    f"atom {key}: block {parent} is at level {partition.level_of[parent]}")
+            if level >= depth:
+                raise ValidationError(f"atom {key}: level {level} is not below depth {depth}")
+            seen.add(key)
+        return cls(partition, depth, [make_atom(partition, *key) for key in keys])
 
 
 def build_system(partition, depth=None) -> FrameletSystem:
@@ -329,6 +343,8 @@ def coefficients_from_csv(system: FrameletSystem, fh) -> CoefficientVector:
             value = float(row[4])
         except ValueError as exc:
             raise ParseError(f"{where}: {exc}") from exc
+        if not math.isfinite(value):
+            raise ParseError(f"{where}: value {row[4]!r} is not finite")
         if key[0] == -1:
             key = SCALING_KEY
         if key in got:

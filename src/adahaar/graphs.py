@@ -47,6 +47,11 @@ class Graph:
             raise ValueError("label count does not match matrix size")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("vertex labels must be unique")
+        padded = [lab for lab in self.labels if str(lab) != str(lab).strip()]
+        if padded:
+            # signal CSVs strip labels, so such a label could not be read back
+            raise ValidationError(
+                f"vertex labels must not start or end with whitespace: {padded[:5]}")
 
     @property
     def n(self) -> int:
@@ -136,21 +141,29 @@ class Clustering:
         return len(self.members)
 
 
-def is_weakly_connected(g: Graph) -> bool:
-    """True when the underlying undirected graph is connected."""
-    if g.n == 0:
-        return False
+def component_count(g: Graph) -> int:
+    """Number of connected components of the underlying undirected graph."""
     adj = (g.weights + g.weights.T) != 0
     seen = np.zeros(g.n, dtype=bool)
-    queue = deque([0])
-    seen[0] = True
-    while queue:
-        u = queue.popleft()
-        for v in np.flatnonzero(adj[u]):
-            if not seen[v]:
-                seen[v] = True
-                queue.append(v)
-    return bool(seen.all())
+    count = 0
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        count += 1
+        queue = deque([start])
+        seen[start] = True
+        while queue:
+            u = queue.popleft()
+            for v in np.flatnonzero(adj[u]):
+                if not seen[v]:
+                    seen[v] = True
+                    queue.append(v)
+    return count
+
+
+def is_weakly_connected(g: Graph) -> bool:
+    """True when the underlying undirected graph is connected."""
+    return component_count(g) == 1
 
 
 def symmetrize(g: Graph) -> tuple:
@@ -315,6 +328,11 @@ def build_chain(g: Graph, clusterer=None, max_depth=64, targets=None) -> Chain:
         t = targets[step] if targets is not None and step < len(targets) else None
         clustering = clusterer(current, t)
         if clustering.m >= current.n:
+            parts = component_count(current)
+            if parts > 1:
+                raise ClustererStalled(
+                    f"step {step}: the graph is disconnected ({parts} connected "
+                    f"components), and the clusterer cannot merge across them")
             raise ClustererStalled(
                 f"step {step}: clusterer returned {clustering.m} clusters "
                 f"for {current.n} nodes")

@@ -150,6 +150,12 @@ class HierarchicalPartition:
     def leaves_under(self, block_id) -> tuple:
         return self._leaves_under[block_id]
 
+    @cached_property
+    def split_weights(self) -> dict:
+        """Parent id -> exact shares |child| / |parent|, in child order (computed once)."""
+        return {p: tuple(self.blocks[c].measure / self.blocks[p].measure for c in kids)
+                for p, kids in self.children.items() if kids}
+
     def __eq__(self, other):
         if self is other:
             return True

@@ -1,9 +1,11 @@
-"""Atoms as keys: function rows, leaf measures and leaf positions against exact oracles.
+"""Atoms as keys: function rows, split weights, leaf measures and leaf positions
+against exact oracles.
 
-An atom stores its key, its two child blocks and its two heights; its leaf
-values, the scaling function and the leaf measures come from the partition.
-The dense rows below are built from exact Fraction measures the way atoms
-once stored them: every leaf under a child carries that child's height.
+An atom stores its key and its two child blocks; its heights come from the
+partition's split weights, and its leaf values, the scaling function and the
+leaf measures from the partition. The dense rows below are built from exact
+Fraction measures the way atoms once stored them: every leaf under a child
+carries that child's height.
 """
 
 import math
@@ -46,6 +48,19 @@ def check_system(system):
     for row, a in zip(Fm[1:], system.atoms):
         assert np.array_equal(a.function.to_vector(), row)
         assert not any(isinstance(v, (dict, ah.PwcFunction)) for v in vars(a).values())
+        assert set(vars(a)) == {"partition", "level", "parent", "l1", "l2", "block1", "block2"}
+
+
+def check_split_weights(part):
+    """One exact share per child, |child| / |parent|, summing to exactly 1."""
+    weights = part.split_weights
+    assert weights is part.split_weights  # computed once
+    assert set(weights) == {p for p, kids in part.children.items() if kids}
+    for p, b in weights.items():
+        pm = exact_measure(part.blocks[p])
+        assert b == tuple(exact_measure(part.blocks[c]) / pm for c in part.children[p])
+        assert all(isinstance(x, F) for x in b)
+        assert sum(b) == 1
 
 
 def check_partition(part):
@@ -74,8 +89,10 @@ def test_toy_systems_match_exact_rows(toy_embedding, interval_system):
     check_partition(partition)
     for system in systems_of(partition, vbm):
         check_system(system)
+    check_split_weights(partition)
     check_partition(interval_system.partition)
     check_system(interval_system)
+    check_split_weights(interval_system.partition)
 
 
 @pytest.mark.parametrize("float_weights", [False, True])
@@ -89,3 +106,16 @@ def test_random_digraph_systems_match_exact_rows(n, float_weights):
     check_partition(partition)
     for system in systems_of(partition, vbm):
         check_system(system)
+    check_split_weights(partition)
+
+
+def test_split_weights_wait_for_the_first_height(chain_x):
+    """Building or loading atoms does no measure arithmetic; only heights read split weights."""
+    part = ah.chain_to_intervals(chain_x).partition
+    system = ah.build_system(part)
+    loaded = ah.FrameletSystem.from_json(part, system.to_json())
+    assert [a.key for a in loaded.atoms] == [a.key for a in system.atoms]
+    assert "split_weights" not in vars(part)
+    h1, h2 = system.atoms[0].heights
+    assert "split_weights" in vars(part)
+    assert h1 > 0 > h2

@@ -263,7 +263,7 @@ def test_cross_scale_check_matches_pairwise_loop(toy_system, toy_embedding):
 
 
 def test_label_with_comma_round_trips(tmp_path):
-    labels = ["a", "x,y", 'say "hi"', "d", "e", "f"]
+    labels = ["a", "x,y", 'say "hi"', "d e", "e", "f"]
     (tmp_path / "digraph.json").write_text(
         json.dumps(ah.Graph(DIGRAPH_W, labels, directed=True).to_json()))
     values = [1.5, -2.0, 0.25, 3.0, 0.0, -1.0]
@@ -352,3 +352,95 @@ def test_repeated_coefficient_key_exit_2(coefficients):
     assert r.returncode == 2
     assert f"dup.csv: line {len(rows)}" in r.stderr and "more than once" in r.stderr
     assert not (out / "back.csv").exists()
+
+
+def test_label_with_surrounding_whitespace_exit_3(tmp_path):
+    """Signal CSVs strip labels, so a graph must not carry a label they cannot read back."""
+    path = tmp_path / "digraph.json"
+    path.write_text(json.dumps({"labels": [" a", "b"], "directed": True,
+                                "edges": [[" a", "b", 1.0]]}))
+    r = run_cli("symmetrize", path, "--out", tmp_path)
+    assert r.returncode == 3, r.stdout + r.stderr
+    assert "whitespace" in r.stderr and "' a'" in r.stderr
+    assert not (tmp_path / "gx.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_signal_value_exit_2(workdir, value):
+    out = build_only(workdir)
+    (workdir / "bad.csv").write_text(f"a,1\nb,{value}\nc,0\nd,0\ne,0\nf,0\n")
+    r = run_cli("analyze", workdir / "bad.csv", *bundle_args(out, out / "vbm.json"),
+                "--out", out / "coeffs.csv")
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "bad.csv: line 2" in r.stderr and "not finite" in r.stderr
+    assert "Warning" not in r.stderr
+    assert not (out / "coeffs.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_coefficient_exit_2(coefficients, value):
+    out, rows = coefficients
+    rows[2] = rows[2].rsplit(",", 1)[0] + "," + value
+    r = synthesize_rows(out, "inf.csv", rows)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "inf.csv: line 3" in r.stderr and "not finite" in r.stderr
+    assert not (out / "back.csv").exists()
+
+
+def corrupt_system(obj, case):
+    atoms = obj["atoms"]
+    if case == "repeated_atom":
+        atoms.append(atoms[3])
+    elif case == "wrong_level":
+        atoms[0][0] += 1  # the root's atoms sit at level 0
+    elif case == "depth_above_partition":
+        obj["depth"] += 1
+    elif case == "level_not_below_depth":
+        obj["depth"] -= 1
+    elif case == "unknown_parent":
+        atoms[0][1] = 999
+
+
+@pytest.mark.parametrize("case, message", [
+    ("repeated_atom", "appears more than once"),
+    ("wrong_level", "block 0 is at level 0"),
+    ("depth_above_partition", "system depth 4 is outside 0..3"),
+    ("level_not_below_depth", "is not below depth 2"),
+    ("unknown_parent", "the partition has no block 999"),
+])
+def test_system_keys_checked_against_partition_exit_3(workdir, case, message):
+    out = build_only(workdir)
+    obj = json.loads((out / "system_full.json").read_text())
+    corrupt_system(obj, case)
+    bad = out / "bad_system.json"
+    bad.write_text(json.dumps(obj))
+    args = ("--partition", out / "partition.json", "--system", bad, "--vbm", out / "vbm.json")
+    runs = [run_cli("analyze", workdir / "signal.csv", *args, "--out", out / "coeffs.csv"),
+            run_cli("verify", *args)]
+    for r in runs:
+        assert r.returncode == 3, r.stdout + r.stderr
+        assert message in r.stderr and "Traceback" not in r.stderr
+    if case != "depth_above_partition":
+        assert "atom (" in runs[0].stderr
+    assert not (out / "coeffs.csv").exists()
+
+
+def test_non_integer_target_per_level_exit_2(workdir):
+    out = workdir / "sym"
+    run_cli("symmetrize", workdir / "digraph.json", "--out", out)
+    r = run_cli("chain", out / "gx.json", "--target-per-level", "a,b",
+                "--out", out / "chain.json")
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "--target-per-level" in r.stderr and "'a,b'" in r.stderr
+    assert not (out / "chain.json").exists()
+
+
+def test_disconnected_graph_chain_names_components_exit_3(tmp_path):
+    path = tmp_path / "digraph.json"
+    path.write_text(json.dumps({"labels": ["a", "b", "c", "d"], "directed": True,
+                                "edges": [["a", "b", 1.0], ["c", "d", 1.0]]}))
+    assert run_cli("symmetrize", path, "--out", tmp_path).returncode == 0
+    r = run_cli("chain", tmp_path / "gx.json", "--out", tmp_path / "chain.json")
+    assert r.returncode == 3, r.stdout + r.stderr
+    assert "disconnected" in r.stderr and "2 connected components" in r.stderr
+    assert not (tmp_path / "chain.json").exists()
