@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -102,7 +103,11 @@ def cmd_symmetrize(args) -> int:
     g = Graph.from_json(_load_json(args.graph))
     connected = is_weakly_connected(g)
     print(f"weakly_connected: {str(connected).lower()}")
-    gx, gy = symmetrize(g)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        gx, gy = symmetrize(g)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     out = Path(args.out)
     _write_json(out / "gx.json", gx.to_json())
     _write_json(out / "gy.json", gy.to_json())

@@ -103,8 +103,11 @@ class VertexBlockMap:
         try:
             labels = tuple(str(x) for x in obj["labels"])
             blocks = tuple(int(obj["blocks"][lab]) for lab in labels)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed vertex block map JSON: {exc}") from exc
+        repeated = sorted(lab for lab, k in Counter(labels).items() if k > 1)
+        if repeated:
+            raise ValidationError(f"vertex labels appear more than once: {repeated}")
         counts = Counter(blocks)
         bad = sorted(b for b in counts if b not in partition.leaf_index)
         if bad:

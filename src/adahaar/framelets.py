@@ -213,7 +213,7 @@ class FrameletSystem:
         try:
             depth = int(obj["depth"])
             keys = [(int(j), int(p), int(l1), int(l2)) for j, p, l1, l2 in obj["atoms"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed system JSON: {exc}") from exc
         if not 0 <= depth <= partition.depth:
             raise ValidationError(

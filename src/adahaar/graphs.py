@@ -98,7 +98,7 @@ class Graph:
                     W[i, j] = float(w)
                     if not directed:
                         W[j, i] = float(w)
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             raise ParseError(f"malformed graph JSON: {exc}") from exc
         return cls(W, labels, directed)
 
@@ -173,8 +173,9 @@ def symmetrize(g: Graph) -> tuple:
     keep weak connectivity; the products' diagonals are then dropped.
     Swapping the roles of rows and columns of the input swaps the pair.
     """
-    if not is_weakly_connected(g):
-        warnings.warn("input digraph is not weakly connected; "
+    components = component_count(g)
+    if components > 1:
+        warnings.warn(f"input digraph is not weakly connected ({components} components); "
                       "the symmetrized pair will be disconnected too")
     We = np.eye(g.n) + g.weights
     W1 = We @ We.T
@@ -263,8 +264,8 @@ class Chain:
     def from_json(cls, obj, validate=True) -> "Chain":
         try:
             graphs = [Graph.from_json(g) for g in obj["graphs"]]
-            parents = [list(map(int, p)) for p in obj["parents"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            parents = [np.array(list(map(int, p)), dtype=int) for p in obj["parents"]]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed chain JSON: {exc}") from exc
         chain = cls(graphs, parents)
         if validate:

@@ -46,7 +46,7 @@ class Interval:
         if not (ZERO <= self.lo < self.hi <= ONE):
             raise ValueError(f"need 0 <= lo < hi <= 1, got [{self.lo}, {self.hi}]")
 
-    @property
+    @cached_property
     def length(self) -> Fraction:
         return self.hi - self.lo
 
@@ -189,15 +189,22 @@ class HierarchicalPartition:
         try:
             dim = int(obj["dimension"])
             depth = int(obj["depth"])
+            if dim < 1:
+                raise ParseError(f"partition JSON: dimension {dim} is below 1")
             blocks = {}
             for rec in obj["blocks"]:
                 bid = int(rec["id"])
                 sides = tuple(Interval(Fraction(a, b), Fraction(c, d))
                               for a, b, c, d in rec["sides"])
+                if len(sides) != dim:
+                    raise ParseError(f"partition JSON: block {bid} has {len(sides)} sides, "
+                                     f"not the declared dimension {dim}")
                 blocks[bid] = Block(bid, sides)
-            children = {int(p): [int(c) for c in kids]
-                        for p, kids in obj.get("children", {}).items()}
-        except (KeyError, TypeError, ValueError) as exc:
+            children = obj.get("children", {})
+            if not isinstance(children, dict):
+                raise ParseError("partition JSON: 'children' must be an object")
+            children = {int(p): [int(c) for c in kids] for p, kids in children.items()}
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ParseError(f"malformed partition JSON: {exc}") from exc
         if 0 not in blocks:
             raise ParseError("partition JSON must contain a root block with id 0")
@@ -275,44 +282,16 @@ def validate_partition(p: HierarchicalPartition) -> PartitionReport:
 def make_dyadic_partition(dimension: int, depth: int) -> HierarchicalPartition:
     """Dyadic partition of [0,1]^dimension: each block splits into 2^d halves.
 
-    Level j holds 2^(j*d) congruent blocks. Blocks within a level, and
-    children within a parent, are enumerated with the first coordinate
-    varying fastest.
+    The tensor power of the 1-D halving partition: level j holds 2^(j*d)
+    congruent blocks, enumerated (within a level and within a parent) with
+    the first coordinate varying fastest.
     """
     if dimension < 1 or depth < 0:
         raise ValueError("need dimension >= 1 and depth >= 0")
-    levels, blocks, children = [], {}, {}
-    index_of = []  # per level: multi-index tuple -> block id
-    next_id = 0
-    for j in range(depth + 1):
-        n = 2 ** j
-        side = Fraction(1, n)
-        level_ids = []
-        idx_map = {}
-        for flat in range(n ** dimension):
-            k, r = [], flat
-            for _ in range(dimension):
-                k.append(r % n)
-                r //= n
-            sides = tuple(Interval(side * ki, side * (ki + 1)) for ki in k)
-            blocks[next_id] = Block(next_id, sides)
-            idx_map[tuple(k)] = next_id
-            level_ids.append(next_id)
-            next_id += 1
-        levels.append(level_ids)
-        index_of.append(idx_map)
-        if j > 0:
-            for pidx, pid in index_of[j - 1].items():
-                kids = []
-                for flat in range(2 ** dimension):
-                    delta, r = [], flat
-                    for _ in range(dimension):
-                        delta.append(r % 2)
-                        r //= 2
-                    cidx = tuple(2 * pk + dk for pk, dk in zip(pidx, delta))
-                    kids.append(idx_map[cidx])
-                children[pid] = kids
-    return HierarchicalPartition(dimension, levels, blocks, children)
+    halving = refine_interval_level(
+        [[(Fraction(k, 2 ** j), Fraction(k + 1, 2 ** j)) for k in range(2 ** j)]
+         for j in range(depth + 1)])
+    return tensor_partitions(*[halving] * dimension)
 
 
 def refine_interval_level(levels) -> HierarchicalPartition:
@@ -364,36 +343,36 @@ def refine_interval_level(levels) -> HierarchicalPartition:
     return HierarchicalPartition(1, levels_ids, blocks, children)
 
 
-def tensor_partitions(px: HierarchicalPartition, py: HierarchicalPartition) -> HierarchicalPartition:
-    """Tensor two 1-D partitions of equal depth into a 2-D block partition.
+def tensor_partitions(*factors: HierarchicalPartition) -> HierarchicalPartition:
+    """Tensor one or more 1-D partitions of equal depth into a box partition.
 
-    Level j is the full grid of x-by-y products; children of a product
-    block are the products of the factors' children, x varying fastest.
+    Level j is the full grid of products of the factors' level-j intervals;
+    the children of a product block are the products of the factors'
+    children. In both, the first factor varies fastest, and ids run level by
+    level in that order, so one factor gives back its own partition.
     """
-    if px.dimension != 1 or py.dimension != 1:
-        raise ValueError("tensor_partitions expects two 1-D partitions")
-    if px.depth != py.depth:
-        raise DepthMismatch(f"depths differ: {px.depth} vs {py.depth}")
+    if not factors or any(p.dimension != 1 for p in factors):
+        raise ValueError("tensor_partitions expects one or more 1-D partitions")
+    if any(p.depth != factors[0].depth for p in factors):
+        raise DepthMismatch("depths differ: " + " vs ".join(str(p.depth) for p in factors))
     levels, blocks, children = [], {}, {}
-    pair_id = []  # per level: (x id, y id) -> product id
-    next_id = 0
-    for j in range(px.depth + 1):
-        xs, ys = px.levels[j], py.levels[j]
-        ids, idx = [], {}
-        for yb in ys:
-            for xb in xs:
-                sides = (px.blocks[xb].sides[0], py.blocks[yb].sides[0])
-                blocks[next_id] = Block(next_id, sides)
-                idx[(xb, yb)] = next_id
-                ids.append(next_id)
-                next_id += 1
-        levels.append(ids)
-        pair_id.append(idx)
+    offset = 0
+    for j in range(factors[0].depth + 1):
+        grid = [()]  # side tuples of the level's product blocks, in id order
+        kids = [[offset]]  # child ids of the previous level's product blocks
+        stride = 1
+        for p in factors:
+            level = p.levels[j]
+            grid = [g + (p.blocks[b].sides[0],) for b in level for g in grid]
+            if j > 0:
+                pos = {b: k * stride for k, b in enumerate(level)}
+                kids = [[a + pos[c] for c in p.children[b] for a in base]
+                        for b in p.levels[j - 1] for base in kids]
+            stride *= len(level)
+        ids = range(offset, offset + stride)
+        blocks.update((i, Block(i, sides)) for i, sides in zip(ids, grid))
         if j > 0:
-            for (xb, yb), pid in pair_id[j - 1].items():
-                kids = []
-                for cy in py.children[yb]:
-                    for cx in px.children[xb]:
-                        kids.append(idx[(cx, cy)])
-                children[pid] = kids
-    return HierarchicalPartition(2, levels, blocks, children)
+            children.update(zip(levels[-1], kids))
+        levels.append(ids)
+        offset += stride
+    return HierarchicalPartition(len(factors), levels, blocks, children)

@@ -444,3 +444,108 @@ def test_disconnected_graph_chain_names_components_exit_3(tmp_path):
     assert r.returncode == 3, r.stdout + r.stderr
     assert "disconnected" in r.stderr and "2 connected components" in r.stderr
     assert not (tmp_path / "chain.json").exists()
+
+
+def test_symmetrize_disconnected_prints_one_warning_line(tmp_path):
+    path = tmp_path / "digraph.json"
+    path.write_text(json.dumps({"labels": ["a", "b", "c", "d", "e"], "directed": True,
+                                "edges": [["a", "b", 1.0], ["c", "d", 1.0]]}))
+    r = run_cli("symmetrize", path, "--out", tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[0] == "weakly_connected: false"
+    assert r.stderr.splitlines() == [
+        "warning: input digraph is not weakly connected (3 components); "
+        "the symmetrized pair will be disconnected too"]
+    assert (tmp_path / "gx.json").exists() and (tmp_path / "gy.json").exists()
+
+
+@pytest.mark.parametrize("case", ["dimension_3", "leaf_missing_a_side"])
+def test_verify_rejects_side_count_off_the_dimension_exit_2(workdir, case):
+    out = build_only(workdir)
+    obj = json.loads((out / "partition.json").read_text())
+    if case == "dimension_3":
+        obj["dimension"] = 3
+        expect = "block 0 has 2 sides, not the declared dimension 3"
+    else:
+        leaf = obj["blocks"][-1]
+        leaf["sides"].pop()
+        expect = f"block {leaf['id']} has 1 sides, not the declared dimension 2"
+    (out / "bad_partition.json").write_text(json.dumps(obj))
+    r = run_cli("verify", "--partition", out / "bad_partition.json",
+                "--system", out / "system_full.json", "--vbm", out / "vbm.json")
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert expect in r.stderr and "Traceback" not in r.stderr
+
+
+FUZZ_VALUES = (0, -1, 1.5, "x", None, [], {}, 10**30, True, float("inf"))
+
+
+def fuzz_paths(obj, *chosen):
+    """Each top-level field of obj, then each chosen field and every field below it."""
+    paths = [(key,) for key in obj]
+
+    def walk(path, node):
+        paths.append(path)
+        if isinstance(node, (dict, list)):
+            for k in node if isinstance(node, dict) else range(len(node)):
+                walk(path + (k,), node[k])
+
+    for path in chosen:
+        node = obj
+        for k in path:
+            node = node[k]
+        walk(path, node)
+    return paths
+
+
+def test_cli_fuzz_exits_0_to_3_without_raising(workdir, tmp_path):
+    """Every malformed input file ends in an exit code, never in an exception."""
+    from adahaar.cli import main
+
+    d = workdir
+    out = d / "built"
+    assert main([str(a) for a in ("build", "--chain-x", d / "chain_x.json",
+                                  "--chain-y", d / "chain_y.json", "--out", out)]) == 0
+    bad = tmp_path / "bad.json"
+    bundle = {"partition": out / "partition.json", "system": out / "system_full.json",
+              "vbm": out / "vbm.json"}
+
+    def analyze_with(name):
+        files = dict(bundle, **{name: bad})
+        return ["analyze", d / "signal.csv", "--partition", files["partition"],
+                "--system", files["system"], "--vbm", files["vbm"], "--out", tmp_path / "c.csv"]
+
+    partition = json.loads(bundle["partition"].read_text())
+    last_block = len(partition["blocks"]) - 1
+    cases = [
+        (d / "digraph.json", ["symmetrize", bad, "--out", tmp_path / "sym"],
+         [("labels", 1), ("edges", 0)]),
+        (d / "chain_x.json", ["build", "--chain-x", bad, "--chain-y", d / "chain_y.json",
+                              "--out", tmp_path / "b"],
+         [("parents", 0), ("graphs", 1, "edges", 0)]),
+        (bundle["partition"], analyze_with("partition"),
+         [("blocks", 0), ("blocks", 5), ("blocks", last_block), ("children", "0")]),
+        (bundle["system"], analyze_with("system"), [("atoms", 0), ("atoms", 40)]),
+        (bundle["vbm"], analyze_with("vbm"), [("labels", 0), ("blocks", "a")]),
+    ]
+    failures, runs = [], 0
+    for path, argv, chosen in cases:
+        text = path.read_text()
+        for field_path in fuzz_paths(json.loads(text), *chosen):
+            for value in FUZZ_VALUES:
+                obj = json.loads(text)
+                node = obj
+                for k in field_path[:-1]:
+                    node = node[k]
+                node[field_path[-1]] = value
+                bad.write_text(json.dumps(obj))
+                runs += 1
+                try:
+                    code = main([str(a) for a in argv])
+                except Exception as exc:  # the test's subject: nothing may escape main
+                    failures.append((path.name, field_path, value, repr(exc)))
+                    continue
+                if code not in (0, 1, 2, 3):
+                    failures.append((path.name, field_path, value, code))
+    assert runs > 500, runs
+    assert not failures, failures

@@ -242,3 +242,11 @@ def test_vertex_span_bounds_agree_with_general_frame_bounds(toy_system, toy_embe
         lo1, hi1, _ = ah.vertex_span_bounds(system, vbm)
         lo2, hi2 = ah.frame_bounds(list(system.functions()), space)
         assert abs(lo1 - lo2) <= 1e-9 and abs(hi1 - hi2) <= 1e-9
+
+
+def test_vbm_json_rejects_repeated_label(toy_embedding):
+    partition, vbm = toy_embedding
+    obj = vbm.to_json()
+    obj["labels"][1] = "a"  # ["a", "a", "c", ...]
+    with pytest.raises(ValidationError, match=r"labels appear more than once: \['a'\]"):
+        ah.VertexBlockMap.from_json(partition, obj)

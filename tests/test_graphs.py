@@ -59,7 +59,7 @@ def test_symmetrize_transpose_swaps_pair(toy_digraph):
 
 def test_symmetrize_warns_when_disconnected():
     g = ah.Graph(np.zeros((2, 2)), directed=True)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match=r"\(2 components\)"):
         ah.symmetrize(g)
 
 
@@ -280,3 +280,11 @@ def test_graph_rejects_bad_matrices():
         ah.Graph([[0, -1], [-1, 0]])
     with pytest.raises(ValueError):
         ah.Graph(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("index", [2**63, -2**63 - 1, 10**30])
+def test_chain_json_parent_beyond_int64_is_parse_error(chain_x, index):
+    obj = chain_x.to_json()
+    obj["parents"][0][2] = index
+    with pytest.raises(ParseError, match="malformed chain JSON"):
+        ah.Chain.from_json(obj)

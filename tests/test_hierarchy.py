@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import adahaar as ah
-from adahaar import DepthMismatch, GapOrOverlap, NotNested
+from adahaar import DepthMismatch, GapOrOverlap, NotNested, ParseError
 
 from conftest import random_interval_levels
 
@@ -160,3 +160,91 @@ def test_json_roundtrip_stable_ids(toy_embedding):
 def test_json_roundtrip_dyadic():
     p = ah.make_dyadic_partition(2, 2)
     assert ah.HierarchicalPartition.from_json(p.to_json()) == p
+
+
+@pytest.mark.parametrize("d, J", [(1, 4), (2, 3), (3, 2), (4, 1)])
+def test_dyadic_matches_explicit_formula(d, J):
+    """Level j: the cubes prod_i [k_i/2^j, (k_i+1)/2^j], ids level by level with
+    k_1 fastest; the children of k are 2k + delta, delta in {0,1}^d, delta_1 fastest."""
+    p = ah.make_dyadic_partition(d, J)
+
+    def digits(flat, base):
+        return [flat // base ** i % base for i in range(d)]
+
+    def block_id(j, k):
+        n = 2 ** j
+        return sum(2 ** (i * d) for i in range(j)) + sum(ki * n ** i for i, ki in enumerate(k))
+
+    assert p.dimension == d and p.depth == J
+    assert p.blocks.keys() == set(range(sum(2 ** (j * d) for j in range(J + 1))))
+    for j in range(J + 1):
+        n = 2 ** j
+        ks = [digits(flat, n) for flat in range(n ** d)]
+        assert list(p.levels[j]) == [block_id(j, k) for k in ks]
+        for k in ks:
+            b = block_id(j, k)
+            assert [(s.lo, s.hi) for s in p.blocks[b].sides] == [(F(ki, n), F(ki + 1, n)) for ki in k]
+            kids = [block_id(j + 1, [2 * ki + di for ki, di in zip(k, digits(flat, 2))])
+                    for flat in range(2 ** d)] if j < J else []
+            assert list(p.children[b]) == kids
+
+
+def test_tensor_of_three_factors():
+    rng = np.random.default_rng(19)
+    factors = [ah.refine_interval_level(random_interval_levels(rng, depth=2)) for _ in range(3)]
+    t = ah.tensor_partitions(*factors)
+    assert t.dimension == 3 and t.depth == 2
+    assert ah.validate_partition(t).ok
+    offset = 0
+    for j in range(3):
+        nx, ny, nz = (len(p.levels[j]) for p in factors)
+        assert list(t.levels[j]) == list(range(offset, offset + nx * ny * nz))
+        for iz, bz in enumerate(factors[2].levels[j]):
+            for iy, by in enumerate(factors[1].levels[j]):
+                for ix, bx in enumerate(factors[0].levels[j]):
+                    b = offset + ix + nx * (iy + ny * iz)
+                    sides = tuple(p.blocks[q].sides[0] for p, q in zip(factors, (bx, by, bz)))
+                    assert t.blocks[b].sides == sides
+                    kids = [t.blocks[c].sides for c in t.children[b]]
+                    assert kids == [(factors[0].blocks[cx].sides[0], factors[1].blocks[cy].sides[0],
+                                     factors[2].blocks[cz].sides[0])
+                                    for cz in factors[2].children[bz]
+                                    for cy in factors[1].children[by]
+                                    for cx in factors[0].children[bx]]
+        offset += nx * ny * nz
+
+
+def test_tensor_of_one_factor_is_the_factor():
+    rng = np.random.default_rng(23)
+    for depth in (0, 1, 3):
+        p = ah.refine_interval_level(random_interval_levels(rng, depth=depth))
+        t = ah.tensor_partitions(p)
+        assert t == p and t.to_json() == p.to_json()
+
+
+def test_tensor_rejects_no_factor_and_boxes():
+    with pytest.raises(ValueError):
+        ah.tensor_partitions()
+    with pytest.raises(ValueError):
+        ah.tensor_partitions(ah.make_dyadic_partition(1, 1), ah.make_dyadic_partition(2, 1))
+    with pytest.raises(DepthMismatch):
+        ah.tensor_partitions(*[ah.make_dyadic_partition(1, 1)] * 2, ah.make_dyadic_partition(1, 2))
+
+
+def tampered_dyadic(edit):
+    obj = ah.make_dyadic_partition(2, 2).to_json()
+    edit(obj)
+    return obj
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda o: o["blocks"][3]["sides"][1].__setitem__(3, 0), "malformed partition JSON"),
+    (lambda o: o.__setitem__("children", [[1, 2, 3, 4]]), "'children' must be an object"),
+    (lambda o: o.__setitem__("dimension", 3), "block 0 has 2 sides, not the declared dimension 3"),
+    (lambda o: o["blocks"][7]["sides"].pop(), "block 7 has 1 sides, not the declared dimension 2"),
+    (lambda o: o.__setitem__("dimension", 0), "dimension 0 is below 1"),
+], ids=["zero_denominator", "children_not_an_object", "dimension_3", "leaf_missing_a_side",
+        "dimension_0"])
+def test_partition_json_rejections_are_parse_errors(edit, message):
+    with pytest.raises(ParseError, match=message):
+        ah.HierarchicalPartition.from_json(tampered_dyadic(edit))
