@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (DepthMismatch, ParseError, UnknownVertex, ValidationError,
-                     ZeroDegreeCluster)
+                     ZeroDegreeCluster, strict_int)
 from .framelets import RANK_TOL, FrameletSystem, PwcFunction
 from .graphs import Chain, Graph
 from .hierarchy import HierarchicalPartition, refine_interval_level, tensor_partitions
@@ -102,7 +102,8 @@ class VertexBlockMap:
     def from_json(cls, partition, obj) -> "VertexBlockMap":
         try:
             labels = tuple(str(x) for x in obj["labels"])
-            blocks = tuple(int(obj["blocks"][lab]) for lab in labels)
+            blocks = tuple(strict_int(obj["blocks"][lab], f"vertex block map JSON: block of {lab!r}")
+                           for lab in labels)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed vertex block map JSON: {exc}") from exc
         repeated = sorted(lab for lab, k in Counter(labels).items() if k > 1)

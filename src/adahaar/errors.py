@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the strict integer reader."""
 
 
 class AdahaarError(Exception):
@@ -59,3 +59,19 @@ class ZeroDegreeCluster(ValidationError):
 
 class UnknownVertex(ValidationError):
     """A signal references a vertex label the graph does not have."""
+
+
+def strict_int(value, what) -> int:
+    """An integer field of an input file; anything else is a ParseError naming `what`.
+
+    Accepts an int that is not a bool, or the decimal string of one (JSON
+    object keys are strings); a float such as 1.5 is never truncated.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    try:
+        if isinstance(value, str) and str(int(value)) == value:
+            return int(value)
+    except ValueError:
+        pass
+    raise ParseError(f"{what} must be an integer, got {value!r}")

@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import (BadPair, BadWeights, DegenerateSpan, IndexMismatch,
-                     ParseError, PartitionMismatch, ValidationError)
+                     ParseError, PartitionMismatch, ValidationError, strict_int)
 from .hierarchy import HierarchicalPartition
 
 RANK_TOL = 1e-10
@@ -211,8 +211,9 @@ class FrameletSystem:
     def from_json(cls, partition, obj) -> "FrameletSystem":
         """Read `to_json` output; each atom key must be a distinct generator of the partition."""
         try:
-            depth = int(obj["depth"])
-            keys = [(int(j), int(p), int(l1), int(l2)) for j, p, l1, l2 in obj["atoms"]]
+            depth = strict_int(obj["depth"], "system JSON: depth")
+            keys = [tuple(strict_int(x, "system JSON: atom field") for x in (j, p, l1, l2))
+                    for j, p, l1, l2 in obj["atoms"]]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed system JSON: {exc}") from exc
         if not 0 <= depth <= partition.depth:

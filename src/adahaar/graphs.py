@@ -13,9 +13,11 @@ from collections import deque
 import numpy as np
 
 from .errors import (BadClustering, ClustererStalled, ParseError,
-                     ValidationError)
+                     ValidationError, strict_int)
 
 WEIGHT_TOL = 1e-12
+# relative width of the score band whose pairs default_cluster re-scores exactly
+SCORE_BAND = 1e-9
 
 
 class Graph:
@@ -93,8 +95,12 @@ class Graph:
             else:
                 pos = {lab: i for i, lab in enumerate(labels)}
                 for u, v, w in obj["edges"]:
-                    i = pos[u] if isinstance(u, str) else int(u)
-                    j = pos[v] if isinstance(v, str) else int(v)
+                    i, j = (pos[x] if isinstance(x, str) else
+                            strict_int(x, "graph JSON: edge endpoint")
+                            for x in (u, v))
+                    if not (0 <= i < n and 0 <= j < n):
+                        raise ParseError(f"graph JSON: edge {[u, v, w]} has an endpoint "
+                                         f"outside 0..{n - 1}")
                     W[i, j] = float(w)
                     if not directed:
                         W[j, i] = float(w)
@@ -264,7 +270,8 @@ class Chain:
     def from_json(cls, obj, validate=True) -> "Chain":
         try:
             graphs = [Graph.from_json(g) for g in obj["graphs"]]
-            parents = [np.array(list(map(int, p)), dtype=int) for p in obj["parents"]]
+            parents = [np.array([strict_int(x, "chain JSON: parent index") for x in p], dtype=int)
+                       for p in obj["parents"]]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed chain JSON: {exc}") from exc
         chain = cls(graphs, parents)
@@ -273,12 +280,32 @@ class Chain:
         return chain
 
 
+def _pair_score(g: Graph, deg, A, B) -> float:
+    """Inter-cluster weight over the product of degree sums, summed afresh."""
+    return float(g.weights[np.ix_(A, B)].sum()) / (deg[A].sum() * deg[B].sum())
+
+
+def _scores(inter, degree_products):
+    """Elementwise inter / degree_products, or -inf where nothing joins the pair."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(inter > 0, inter / degree_products, -np.inf)
+
+
 def default_cluster(g: Graph, target=None) -> Clustering:
     """Deterministic greedy merge down to `target` clusters (default ceil(n/2)).
 
     Each step merges the cluster pair maximizing inter-cluster weight
     divided by the product of the clusters' degree sums; ties go to the
     lexicographically smallest pair of smallest member ids.
+
+    The cluster-weight matrix, the degree sums and the upper-triangular
+    score matrix, all indexed by smallest member, carry over from merge to
+    merge: merging b into a adds b's row and column into a's, retires b and
+    re-scores a's row and column, so a merge costs about m^2. Sums built up
+    this way can differ from a fresh sum in the last bits, so every pair
+    within SCORE_BAND (relative) of the top score is re-scored from the
+    member lists and the first pair with the highest exact score wins,
+    which gives the same merges as scoring every pair afresh.
     """
     if g.directed:
         raise ValueError("default_cluster expects an undirected graph")
@@ -288,22 +315,34 @@ def default_cluster(g: Graph, target=None) -> Clustering:
     target = max(1, int(target))
     deg = g.degrees()
     clusters = {v: [v] for v in range(n)}
+    C = np.array(g.weights)
+    d = deg.copy()
+    S = _scores(np.triu(C, 1), np.outer(d, d))
     while len(clusters) > target:
-        best = None
-        keys = sorted(clusters)  # key == smallest member, so pair order is the tie-break
-        for a_pos, a in enumerate(keys):
-            for b in keys[a_pos + 1:]:
-                inter = float(g.weights[np.ix_(clusters[a], clusters[b])].sum())
-                if inter <= 0:
-                    continue
-                score = inter / (deg[clusters[a]].sum() * deg[clusters[b]].sum())
-                if best is None or score > best[0]:
-                    best = (score, a, b)
-        if best is None:
+        top = S.max()
+        if top == -np.inf:
             break  # nothing mergeable; disconnected input
-        _, a, b = best
+        if np.isnan(top):  # weights so large that sums overflow: score every joined pair
+            pairs = np.argwhere(S != -np.inf).tolist()
+        else:
+            pairs = np.argwhere(S >= top * (1 - SCORE_BAND)).tolist()  # lexicographic
+        a, b = pairs[0]
+        if len(pairs) > 1:
+            best = None
+            for p, q in pairs:
+                score = _pair_score(g, deg, clusters[p], clusters[q])
+                if best is None or score > best[0]:
+                    best = (score, p, q)
+            _, a, b = best
         clusters[a] = clusters[a] + clusters[b]
         del clusters[b]
+        C[a] += C[b]
+        C[:, a] += C[:, b]
+        C[b] = C[:, b] = 0  # retired: b's weight now lives in a
+        d[a] += d[b]
+        S[b] = S[:, b] = -np.inf
+        S[a, a + 1:] = _scores(C[a, a + 1:], d[a] * d[a + 1:])
+        S[:a, a] = _scores(C[:a, a], d[:a] * d[a])
     assignment = [0] * n
     for key, grp in clusters.items():
         for v in grp:

@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DepthMismatch, GapOrOverlap, NotNested, ParseError
+from .errors import DepthMismatch, GapOrOverlap, NotNested, ParseError, strict_int
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -187,15 +187,18 @@ class HierarchicalPartition:
     @classmethod
     def from_json(cls, obj) -> "HierarchicalPartition":
         try:
-            dim = int(obj["dimension"])
-            depth = int(obj["depth"])
+            dim = strict_int(obj["dimension"], "partition JSON: dimension")
+            depth = strict_int(obj["depth"], "partition JSON: depth")
             if dim < 1:
                 raise ParseError(f"partition JSON: dimension {dim} is below 1")
             blocks = {}
             for rec in obj["blocks"]:
-                bid = int(rec["id"])
-                sides = tuple(Interval(Fraction(a, b), Fraction(c, d))
-                              for a, b, c, d in rec["sides"])
+                bid = strict_int(rec["id"], "partition JSON: block id")
+                sides = []
+                for side in rec["sides"]:
+                    a, b, c, d = (strict_int(x, "partition JSON: side endpoint") for x in side)
+                    sides.append(Interval(Fraction(a, b), Fraction(c, d)))
+                sides = tuple(sides)
                 if len(sides) != dim:
                     raise ParseError(f"partition JSON: block {bid} has {len(sides)} sides, "
                                      f"not the declared dimension {dim}")
@@ -203,7 +206,9 @@ class HierarchicalPartition:
             children = obj.get("children", {})
             if not isinstance(children, dict):
                 raise ParseError("partition JSON: 'children' must be an object")
-            children = {int(p): [int(c) for c in kids] for p, kids in children.items()}
+            children = {strict_int(p, "partition JSON: children key"):
+                        [strict_int(c, "partition JSON: child id") for c in kids]
+                        for p, kids in children.items()}
         except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ParseError(f"malformed partition JSON: {exc}") from exc
         if 0 not in blocks:

@@ -549,3 +549,24 @@ def test_cli_fuzz_exits_0_to_3_without_raising(workdir, tmp_path):
                     failures.append((path.name, field_path, value, code))
     assert runs > 500, runs
     assert not failures, failures
+
+
+def test_symmetrize_negative_edge_endpoint_exit_2(tmp_path):
+    path = tmp_path / "digraph.json"
+    path.write_text(json.dumps({"labels": ["a", "b", "c"], "directed": True,
+                                "edges": [[-1, 0, 2.0], [0, 1, 1.0]]}))
+    r = run_cli("symmetrize", path, "--out", tmp_path)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "edge [-1, 0, 2.0] has an endpoint outside 0..2" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "gx.json").exists()
+
+
+def test_import_loads_no_scipy():
+    """Every CLI step and benchmark set-up pays for `import adahaar` in a fresh interpreter."""
+    code = "import sys, adahaar; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

@@ -250,3 +250,13 @@ def test_vbm_json_rejects_repeated_label(toy_embedding):
     obj["labels"][1] = "a"  # ["a", "a", "c", ...]
     with pytest.raises(ValidationError, match=r"labels appear more than once: \['a'\]"):
         ah.VertexBlockMap.from_json(partition, obj)
+
+
+@pytest.mark.parametrize("block", [1.5, True, "7.0"])
+def test_vbm_json_rejects_non_integer_block_id(toy_embedding, block):
+    partition, vbm = toy_embedding
+    obj = vbm.to_json()
+    obj["blocks"]["c"] = block
+    with pytest.raises(ah.ParseError, match="vertex block map JSON: block of 'c' must be "
+                                            "an integer"):
+        ah.VertexBlockMap.from_json(partition, obj)

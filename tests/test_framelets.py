@@ -392,3 +392,15 @@ def test_coefficient_csv_roundtrip(toy_system, tmp_path):
         back = ah.framelets.coefficients_from_csv(toy_system, fh)
     assert back.c0 == cv.c0
     assert np.array_equal(back.coefficients, cv.coefficients)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda o: o.__setitem__("depth", 2.0), "depth must be an integer, got 2.0"),
+    (lambda o: o["atoms"][3].__setitem__(1, 1.5), "atom field must be an integer, got 1.5"),
+    (lambda o: o["atoms"][3].__setitem__(0, False), "atom field must be an integer, got False"),
+], ids=["depth_float", "parent_float", "level_bool"])
+def test_system_json_rejects_non_integer_fields(toy_system, edit, message):
+    obj = toy_system.to_json()
+    edit(obj)
+    with pytest.raises(ah.ParseError, match=f"system JSON: {message}"):
+        ah.FrameletSystem.from_json(toy_system.partition, obj)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -287,4 +289,29 @@ def test_chain_json_parent_beyond_int64_is_parse_error(chain_x, index):
     obj = chain_x.to_json()
     obj["parents"][0][2] = index
     with pytest.raises(ParseError, match="malformed chain JSON"):
+        ah.Chain.from_json(obj)
+
+
+@pytest.mark.parametrize("endpoint", [1.9, 1.0, True, [1]])
+def test_graph_json_rejects_non_integer_edge_endpoint(endpoint):
+    obj = {"labels": ["a", "b", "c"], "directed": True, "edges": [[0, endpoint, 2.0]]}
+    with pytest.raises(ParseError, match="graph JSON: edge endpoint must be an integer"):
+        ah.Graph.from_json(obj)
+
+
+@pytest.mark.parametrize("edge", [[-1, 0, 2.0], [0, 3, 2.0], ["a", -3, 1.0]])
+def test_graph_json_rejects_edge_endpoint_out_of_range(edge):
+    obj = {"labels": ["a", "b", "c"], "directed": True, "edges": [[0, 1, 1.0], edge]}
+    with pytest.raises(ParseError, match=rf"edge {re.escape(str(edge))} has an endpoint "
+                                         r"outside 0\.\.2"):
+        ah.Graph.from_json(obj)
+
+
+@pytest.mark.parametrize("parents", [[0.0, 0.7], [0, True], [0, "1.0"]])
+def test_chain_json_rejects_non_integer_parent_index(parents):
+    g = ah.Graph([[0, 1], [1, 0]])
+    obj = ah.build_chain(g).to_json()
+    assert obj["parents"] == [[0, 0]]
+    obj["parents"][0] = parents
+    with pytest.raises(ParseError, match="chain JSON: parent index must be an integer"):
         ah.Chain.from_json(obj)

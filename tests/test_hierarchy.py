@@ -243,8 +243,18 @@ def tampered_dyadic(edit):
     (lambda o: o.__setitem__("dimension", 3), "block 0 has 2 sides, not the declared dimension 3"),
     (lambda o: o["blocks"][7]["sides"].pop(), "block 7 has 1 sides, not the declared dimension 2"),
     (lambda o: o.__setitem__("dimension", 0), "dimension 0 is below 1"),
+    (lambda o: o.__setitem__("dimension", 2.0), "dimension must be an integer, got 2.0"),
+    (lambda o: o.__setitem__("depth", True), "depth must be an integer, got True"),
+    (lambda o: o["blocks"][5].__setitem__("id", 5.0), "block id must be an integer, got 5.0"),
+    (lambda o: o["blocks"][5].__setitem__("id", "5.0"), "block id must be an integer, got '5.0'"),
+    (lambda o: o["blocks"][3]["sides"][1].__setitem__(3, 2.0),
+     "side endpoint must be an integer, got 2.0"),
+    (lambda o: o["children"]["0"].__setitem__(0, 1.5), "child id must be an integer, got 1.5"),
+    (lambda o: o["children"].__setitem__("+1", o["children"].pop("1")),
+     "children key must be an integer, got '\\+1'"),
 ], ids=["zero_denominator", "children_not_an_object", "dimension_3", "leaf_missing_a_side",
-        "dimension_0"])
+        "dimension_0", "dimension_float", "depth_bool", "block_id_float", "block_id_string",
+        "side_float", "child_id_float", "children_key_signed"])
 def test_partition_json_rejections_are_parse_errors(edit, message):
     with pytest.raises(ParseError, match=message):
         ah.HierarchicalPartition.from_json(tampered_dyadic(edit))
