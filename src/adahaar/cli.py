@@ -224,12 +224,12 @@ def _verify_checks(partition, system, vbm, rng, n_signals=20):
             f = signal_to_function(values, vbm)
         else:
             vec = rng.standard_normal(len(partition.leaf_ids))
-            f = framelets.PwcFunction.from_vector(partition, vec)
+            f = framelets.PwcFunction(partition, vec)
         nrm = inner_product(f, f)
         cv = analyze(system, f)
         worst_p = max(worst_p, abs(cv.energy() - nrm) / nrm)
         g = synthesize(system, cv)
-        diff = f.to_vector() - g.to_vector()
+        diff = f.vector - g.vector
         worst_r = max(worst_r, math.sqrt(float(diff @ (mu * diff)) / nrm))
     yield "parseval", worst_p <= 1e-10, f"max relative error {worst_p:.3e}"
     yield "reconstruction", worst_r <= 1e-10, f"max relative error {worst_r:.3e}"

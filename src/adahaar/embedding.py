@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (DepthMismatch, ParseError, UnknownVertex, ValidationError,
-                     ZeroDegreeCluster, strict_int)
+from .errors import (DepthMismatch, ParseError, PartitionMismatch, UnknownVertex,
+                     ValidationError, ZeroDegreeCluster, strict_int)
 from .framelets import RANK_TOL, FrameletSystem, PwcFunction
 from .graphs import Chain, Graph
 from .hierarchy import HierarchicalPartition, refine_interval_level, tensor_partitions
@@ -45,38 +45,39 @@ def chain_to_intervals(chain: Chain) -> IntervalEmbedding:
     expansion, integer degrees stay integers). A cluster whose children
     have zero total degree raises ZeroDegreeCluster.
     """
-    J = chain.depth
     if chain.graphs[-1].n != 1:
         raise ValueError("chain must end in a single-node graph")
+    # bottom up: each node's children, ordered by their smallest original vertex
+    first = list(range(chain.graphs[0].n))  # smallest original vertex of each node
+    kids_of = []
+    for pmap, coarse in zip(chain.parents, chain.graphs[1:]):
+        kids, pmap = [[] for _ in range(coarse.n)], pmap.tolist()
+        for u in sorted(range(len(first)), key=first.__getitem__):
+            kids[pmap[u]].append(u)
+        first = [first[ks[0]] if ks else len(pmap) for ks in kids]  # empty: raises below
+        kids_of.append(kids)
+    # top down: each node's interval splits among its children by degree
     node_iv = [[(Fraction(0), Fraction(1))]]
-    for j in range(1, J + 1):
-        fine = chain.graphs[J - j]
-        coarse = chain.graphs[J - j + 1]
-        pmap = chain.parents[J - j]
-        members = chain.members(J - j)
-        degs = [Fraction(float(d)) for d in fine.degrees()]
-        intervals = [None] * fine.n
-        for k in range(coarse.n):
-            kids = sorted((u for u in range(fine.n) if pmap[u] == k),
-                          key=lambda u: min(members[u]))
-            total = sum((degs[u] for u in kids), Fraction(0))
+    for j, kids in enumerate(reversed(kids_of), start=1):
+        degs = [Fraction(float(d)) for d in chain.graphs[-1 - j].degrees()]
+        intervals = [None] * len(degs)
+        for k, ((a, b), ks) in enumerate(zip(node_iv[-1], kids)):
+            total = sum((degs[u] for u in ks), Fraction(0))
             if total == 0:
                 raise ZeroDegreeCluster(
                     f"children of node {k} at level {j - 1} have zero total degree")
-            a, b = node_iv[j - 1][k]
             cur = a
-            for u in kids:
+            for u in ks:
                 width = (b - a) * degs[u] / total
                 intervals[u] = (cur, cur + width)
                 cur += width
         node_iv.append(intervals)
-    partition = refine_interval_level([sorted(level) for level in node_iv])
+    levels = [sorted(level) for level in node_iv]
+    partition = refine_interval_level(levels)  # ids run through each level in sorted order
     node_blocks = []
-    for j, level in enumerate(node_iv):
-        lookup = {(blk.sides[0].lo, blk.sides[0].hi): bid
-                  for bid in partition.levels[j]
-                  for blk in [partition.blocks[bid]]}
-        node_blocks.append(tuple(lookup[iv] for iv in level))
+    for ivs, ids, level in zip(levels, partition.levels, node_iv):
+        block_of = dict(zip(ivs, ids))
+        node_blocks.append(tuple(block_of[iv] for iv in level))
     return IntervalEmbedding(partition, tuple(node_blocks))
 
 
@@ -162,12 +163,17 @@ def signal_to_function(signal, vbm: VertexBlockMap) -> PwcFunction:
         if len(values) != len(vbm.labels):
             raise UnknownVertex(
                 f"signal has {len(values)} entries for {len(vbm.labels)} vertices")
-    return PwcFunction(vbm.partition, dict(zip(vbm.blocks, values)))
+    vec = np.zeros(len(vbm.partition.leaf_ids))
+    vec[[vbm.partition.leaf_index[b] for b in vbm.blocks]] = values
+    return PwcFunction(vbm.partition, vec)
 
 
 def function_to_signal(f: PwcFunction, vbm: VertexBlockMap) -> dict:
     """Read a function back at the vertex blocks, label -> value."""
-    return {lab: f.values.get(b, 0.0) for lab, b in zip(vbm.labels, vbm.blocks)}
+    if f.partition != vbm.partition:
+        raise PartitionMismatch("function and vertex block map live on different partitions")
+    pos = f.partition.leaf_index
+    return {lab: float(f.vector[pos[b]]) for lab, b in zip(vbm.labels, vbm.blocks)}
 
 
 def _effective_blocks(partition, vertex_blocks) -> set:

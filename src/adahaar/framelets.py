@@ -6,9 +6,11 @@ indicators that integrates to zero. Together with the normalized root
 indicator these form a tight frame for the span of the finest-level
 indicators; when every split is binary the system is an orthonormal basis.
 
-An atom is a key, a parent block and a pair of its children: its heights
-(from the split weights), its leaf values, the scaling function and the leaf
-measures come from the partition. Inner products sum over weighted leaves.
+A function is one read-only vector of values on the finest-level blocks,
+in the partition's `leaf_ids` order. An atom is a key, a parent block and a
+pair of its children: its heights (from the split weights), its leaf vector,
+the scaling function and the leaf measures come from the partition. Inner
+products sum over leaves weighted by their measures.
 """
 
 from __future__ import annotations
@@ -75,32 +77,25 @@ def refinement_matrix(b) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PwcFunction:
-    """Piecewise-constant function as values on finest-level blocks (absent = 0)."""
+    """Piecewise-constant function: a read-only copy of one value per leaf, in leaf_ids order."""
 
     partition: HierarchicalPartition
-    values: dict
+    vector: np.ndarray
 
     def __post_init__(self):
-        bad = [k for k in self.values if k not in self.partition.leaf_index]
-        if bad:
-            raise ValueError(f"values keyed by non-leaf blocks: {bad[:5]}")
-
-    def to_vector(self) -> np.ndarray:
-        return np.array([self.values.get(b, 0.0) for b in self.partition.leaf_ids])
-
-    @classmethod
-    def from_vector(cls, partition, vec) -> "PwcFunction":
-        return cls(partition, dict(zip(partition.leaf_ids, map(float, vec))))
+        vec = np.array(self.vector, dtype=float)
+        if vec.shape != (len(self.partition.leaf_ids),):
+            raise ValueError(f"need {len(self.partition.leaf_ids)} leaf values, got shape {vec.shape}")
+        vec.setflags(write=False)
+        object.__setattr__(self, "vector", vec)
 
 
 def inner_product(f: PwcFunction, g: PwcFunction) -> float:
-    """L2 inner product: sum over leaves of f*g weighted by leaf measure."""
+    """L2 inner product: correctly rounded sum over leaves of f*g weighted by leaf measure."""
     if f.partition != g.partition:
         raise PartitionMismatch("functions live on different partitions")
-    if len(g.values) < len(f.values):
-        f, g = g, f
-    mu, pos = f.partition.leaf_measures, f.partition.leaf_index
-    return math.fsum(v * g.values.get(k, 0.0) * mu[pos[k]] for k, v in f.values.items())
+    terms = f.vector * g.vector * f.partition.leaf_measures
+    return math.fsum(terms[terms != 0.0].tolist())  # zeros add nothing; fsum is slow per term
 
 
 def norm2(f: PwcFunction) -> float:
@@ -136,10 +131,11 @@ class FrameletAtom:
 
     @property
     def function(self) -> PwcFunction:
-        h1, h2 = self.heights
-        values = {leaf: h1 for leaf in self.partition.leaves_under(self.block1)}
-        values.update({leaf: h2 for leaf in self.partition.leaves_under(self.block2)})
-        return PwcFunction(self.partition, values)
+        part = self.partition
+        vec = np.zeros(len(part.leaf_ids))
+        for block, h in zip((self.block1, self.block2), self.heights):
+            vec[[part.leaf_index[leaf] for leaf in part.leaves_under(block)]] = h
+        return PwcFunction(part, vec)
 
 
 def make_atom(partition, level, parent, l1, l2) -> FrameletAtom:
@@ -179,7 +175,7 @@ class FrameletSystem:
     def scaling(self) -> PwcFunction:
         """The normalized indicator of the root block."""
         v = 1.0 / math.sqrt(float(self.partition.measure))
-        return PwcFunction(self.partition, {leaf: v for leaf in self.partition.leaf_ids})
+        return PwcFunction(self.partition, np.full(len(self.partition.leaf_ids), v))
 
     def functions(self):
         """The scaling function followed by every atom function."""
@@ -199,7 +195,7 @@ class FrameletSystem:
     def function_matrix(self) -> np.ndarray:
         """Row per function, column per leaf of the partition (cached)."""
         if self._matrix is None:
-            self._matrix = np.vstack([f.to_vector() for f in self.functions()])
+            self._matrix = np.vstack([f.vector for f in self.functions()])
             self._matrix.setflags(write=False)
         return self._matrix
 
@@ -269,7 +265,7 @@ def analyze(system: FrameletSystem, f: PwcFunction) -> CoefficientVector:
     if f.partition != system.partition:
         raise PartitionMismatch("signal lives on a different partition")
     weighted = system.function_matrix() * system.partition.leaf_measures
-    c = weighted @ f.to_vector()
+    c = weighted @ f.vector
     return CoefficientVector(system, float(c[0]), c[1:])
 
 
@@ -280,7 +276,7 @@ def synthesize(system: FrameletSystem, cv: CoefficientVector) -> PwcFunction:
     if cv.coefficients.shape != (len(system.atoms),):
         raise IndexMismatch("coefficient count does not match the system")
     vec = np.concatenate(([cv.c0], cv.coefficients)) @ system.function_matrix()
-    return PwcFunction.from_vector(system.partition, vec)
+    return PwcFunction(system.partition, vec)
 
 
 def gram_matrix(system: FrameletSystem) -> np.ndarray:
@@ -304,8 +300,8 @@ def frame_bounds(functions, space) -> tuple:
         if g.partition != part:
             raise PartitionMismatch("all functions must share one partition")
     mu = part.leaf_measures
-    S = np.vstack([g.to_vector() for g in space])
-    F = np.vstack([f.to_vector() for f in functions])
+    S = np.vstack([g.vector for g in space])
+    F = np.vstack([f.vector for f in functions])
     G = (S * mu) @ S.T
     w, U = np.linalg.eigh(G)
     if w[-1] <= 0 or w[0] < RANK_TOL * w[-1]:

@@ -21,7 +21,7 @@ ONE = Fraction(1)
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce ints, floats, strings, Fractions or (num, den) pairs to Fraction.
+    """Coerce ints, floats, strings or Fractions to Fraction; anything else is a TypeError.
 
     Floats convert via their exact binary expansion, so round-tripping is
     lossless; 0.3 is *not* 3/10.
@@ -30,8 +30,6 @@ def as_fraction(x) -> Fraction:
         return x
     if isinstance(x, (int, float, str)):
         return Fraction(x)
-    if isinstance(x, (tuple, list)) and len(x) == 2:
-        return Fraction(int(x[0]), int(x[1]))
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
@@ -304,8 +302,8 @@ def refine_interval_level(levels) -> HierarchicalPartition:
 
     Each level must tile [0,1] exactly (GapOrOverlap otherwise) and each
     interval must sit inside a single interval of the previous level
-    (NotNested otherwise). Endpoints may be ints, floats, strings,
-    Fractions or (num, den) pairs.
+    (NotNested otherwise). Endpoints may be ints, floats, strings or
+    Fractions; any other endpoint raises TypeError.
     """
     if not levels:
         raise GapOrOverlap("need at least the root level")

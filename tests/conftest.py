@@ -80,6 +80,13 @@ def random_interval_levels(rng, depth, max_children=3, denominators=(2, 3, 4, 5)
     return levels
 
 
+def indicator(part, leaves):
+    """The function that is 1 on the given leaves of `part` and 0 elsewhere."""
+    vec = np.zeros(len(part.leaf_ids))
+    vec[[part.leaf_index[b] for b in leaves]] = 1.0
+    return ah.PwcFunction(part, vec)
+
+
 def random_digraph(rng, n, float_weights):
     """Weakly connected random digraph: a random Hamiltonian path plus edges
     with probability 0.2; weights in {1, 2, 3} or three-decimal floats."""

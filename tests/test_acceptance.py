@@ -31,7 +31,7 @@ def rel_parseval_error(system, f):
 def rel_reconstruction_error(system, f):
     g = ah.synthesize(system, ah.analyze(system, f))
     part = system.partition
-    diff = ah.PwcFunction.from_vector(part, f.to_vector() - g.to_vector())
+    diff = ah.PwcFunction(part, f.vector - g.vector)
     return ah.norm2(diff) / ah.norm2(f)
 
 
@@ -64,8 +64,8 @@ def test_criterion_2_interval_system_golden(chain_x):
     a0 = system.atoms[0]
     first_leaf = part.leaves_under(a0.block1)[0]
     last_leaf = part.leaves_under(a0.block2)[0]
-    atom0_ok = (abs(a0.function.values[first_leaf] - math.sqrt(3)) <= 1e-12
-               and abs(a0.function.values[last_leaf] + 1 / math.sqrt(3)) <= 1e-12)
+    atom0_ok = (abs(a0.function.vector[part.leaf_index[first_leaf]] - math.sqrt(3)) <= 1e-12
+               and abs(a0.function.vector[part.leaf_index[last_leaf]] + 1 / math.sqrt(3)) <= 1e-12)
 
     # second atom recomputed through the exact rational oracle: the squared
     # values must be the sibling/child measure ratios, independent of any
@@ -74,8 +74,8 @@ def test_criterion_2_interval_system_golden(chain_x):
     pm = part.blocks[a1.parent].measure
     sq1 = (part.blocks[a1.block2].measure / pm) / part.blocks[a1.block1].measure
     sq2 = (part.blocks[a1.block1].measure / pm) / part.blocks[a1.block2].measure
-    v1 = a1.function.values[part.leaves_under(a1.block1)[0]]
-    v2 = a1.function.values[part.leaves_under(a1.block2)[0]]
+    v1 = a1.function.vector[part.leaf_index[part.leaves_under(a1.block1)[0]]]
+    v2 = a1.function.vector[part.leaf_index[part.leaves_under(a1.block2)[0]]]
     atom1_ok = (v1 > 0 > v2
                and abs(v1 * v1 - float(sq1)) <= 1e-14
                and abs(v2 * v2 - float(sq2)) <= 1e-13 * float(sq2)
@@ -83,7 +83,7 @@ def test_criterion_2_interval_system_golden(chain_x):
 
     rng = np.random.default_rng(102)
     parseval_ok = all(
-        rel_parseval_error(system, ah.PwcFunction.from_vector(
+        rel_parseval_error(system, ah.PwcFunction(
             part, rng.standard_normal(6))) <= 1e-10
         for _ in range(20))
 
@@ -143,7 +143,7 @@ def test_criterion_4_parseval_reconstruction(toy_system, toy_embedding):
     for system in cases:
         nleaf = len(system.partition.leaf_ids)
         for _ in range(100):
-            f = ah.PwcFunction.from_vector(system.partition, rng.standard_normal(nleaf))
+            f = ah.PwcFunction(system.partition, rng.standard_normal(nleaf))
             worst_p = max(worst_p, rel_parseval_error(system, f))
             worst_r = max(worst_r, rel_reconstruction_error(system, f))
 
@@ -180,9 +180,9 @@ def test_criterion_6_structural_invariants(toy_system, interval_system):
         part = system.partition
         mu = np.array([float(part.blocks[b].measure) for b in part.leaf_ids])
         for a in system.atoms:
-            worst_int = max(worst_int, abs(float(a.function.to_vector() @ mu)))
+            worst_int = max(worst_int, abs(float(a.function.vector @ mu)))
             expected = set(part.leaves_under(a.block1)) | set(part.leaves_under(a.block2))
-            got = {k for k, v in a.function.values.items() if v != 0.0}
+            got = {part.leaf_ids[i] for i in np.flatnonzero(a.function.vector != 0.0)}
             siblings = (part.parent[a.block1] == a.parent == part.parent[a.block2]
                         and a.block1 != a.block2)
             support_ok = support_ok and got == expected and siblings
@@ -227,7 +227,7 @@ def test_criterion_8_pruned_spanning(toy_system, toy_embedding):
     mu = np.sqrt([float(partition.blocks[b].measure) for b in vbm.blocks])
     pos = {b: i for i, b in enumerate(partition.leaf_ids)}
     cols = [pos[b] for b in vbm.blocks]
-    R = np.vstack([f.to_vector()[cols] for f in pruned.functions()]).T * mu[:, None]
+    R = np.vstack([f.vector[cols] for f in pruned.functions()]).T * mu[:, None]
     rng = np.random.default_rng(108)
     worst = 0.0
     for _ in range(20):

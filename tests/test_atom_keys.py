@@ -2,7 +2,7 @@
 against exact oracles.
 
 An atom stores its key and its two child blocks; its heights come from the
-partition's split weights, and its leaf values, the scaling function and the
+partition's split weights, and its leaf vector, the scaling function and the
 leaf measures from the partition. The dense rows below are built from exact
 Fraction measures the way atoms once stored them: every leaf under a child
 carries that child's height.
@@ -44,11 +44,28 @@ def dense_rows(system):
 def check_system(system):
     Fm = system.function_matrix()
     assert np.array_equal(Fm, dense_rows(system))
-    assert np.array_equal(system.scaling.to_vector(), Fm[0])
+    assert np.array_equal(system.scaling.vector, Fm[0])
     for row, a in zip(Fm[1:], system.atoms):
-        assert np.array_equal(a.function.to_vector(), row)
+        assert np.array_equal(a.function.vector, row)
         assert not any(isinstance(v, (dict, ah.PwcFunction)) for v in vars(a).values())
         assert set(vars(a)) == {"partition", "level", "parent", "l1", "l2", "block1", "block2"}
+    check_inner_products(system)
+
+
+def check_inner_products(system):
+    """inner_product is exactly the correctly rounded sum over an atom's support
+    leaves, which is what the functions' dict form once summed."""
+    part = system.partition
+    mu = part.leaf_measures
+    signal = ah.PwcFunction(part, np.random.default_rng(len(mu)).standard_normal(len(mu)))
+    for a in system.atoms:
+        f = a.function
+        support = [part.leaf_index[leaf]
+                   for b in (a.block1, a.block2) for leaf in part.leaves_under(b)]
+        for g in (f, signal, system.scaling):
+            expect = math.fsum(f.vector[i] * g.vector[i] * mu[i] for i in support)
+            assert ah.inner_product(f, g) == expect
+            assert ah.inner_product(g, f) == expect
 
 
 def check_split_weights(part):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import adahaar as ah
-from adahaar import DepthMismatch, UnknownVertex, ValidationError, ZeroDegreeCluster
+from adahaar import (DepthMismatch, PartitionMismatch, UnknownVertex, ValidationError,
+                     ZeroDegreeCluster)
 
-from conftest import GX_LEAVES, GY_LEAVES, VERTICES
+from conftest import GX_LEAVES, GY_LEAVES, VERTICES, indicator
 
 
 def interval_of(partition, block_id):
@@ -48,6 +49,11 @@ def test_chain_to_intervals_one_node():
 def test_zero_degree_cluster_rejected():
     g = ah.Graph(np.zeros((2, 2)), ["a", "b"])
     chain = ah.Chain([g, ah.coarse_grain(g, ah.Clustering([0, 0]))], [[0, 0]])
+    with pytest.raises(ZeroDegreeCluster):
+        ah.chain_to_intervals(chain)
+    # an unvalidated chain whose middle level has a node with no children
+    g0 = ah.Graph(np.ones((3, 3)) - np.eye(3))
+    chain = ah.Chain([g0, ah.Graph(np.ones((3, 3))), ah.Graph([[1.0]])], [[0, 0, 1], [0, 0, 0]])
     with pytest.raises(ZeroDegreeCluster):
         ah.chain_to_intervals(chain)
 
@@ -110,10 +116,14 @@ def test_embedding_depth_mismatch(toy_digraph, chain_x, chain_y):
 def test_signal_embedding(toy_embedding):
     partition, vbm = toy_embedding
     ind = ah.signal_to_function({lab: 1.0 if lab == "a" else 0.0 for lab in VERTICES}, vbm)
-    assert set(k for k, v in ind.values.items() if v != 0) == {vbm.block_of("a")}
+    assert {partition.leaf_ids[i] for i in np.flatnonzero(ind.vector)} == {vbm.block_of("a")}
     const = ah.signal_to_function([1.0] * 6, vbm)
     expect = sum(float(partition.blocks[b].measure) for b in vbm.blocks)
     assert abs(ah.inner_product(const, const) - expect) <= 1e-14
+    assert ah.function_to_signal(const, vbm) == dict.fromkeys(VERTICES, 1.0)
+    other = ah.make_dyadic_partition(2, 1)
+    with pytest.raises(PartitionMismatch):
+        ah.function_to_signal(indicator(other, other.leaf_ids), vbm)
     zero = ah.signal_to_function([0.0] * 6, vbm)
     assert ah.inner_product(zero, zero) == 0.0
 
@@ -154,7 +164,7 @@ def test_restricted_parseval_on_vertex_signals(toy_system, toy_embedding):
         cv = ah.analyze(restricted, f)
         assert abs(cv.energy() - n2) <= 1e-10 * n2
         g = ah.synthesize(restricted, cv)
-        diff = f.to_vector() - g.to_vector()
+        diff = f.vector - g.vector
         mu = np.array([float(toy_system.partition.blocks[b].measure)
                        for b in toy_system.partition.leaf_ids])
         assert math.sqrt(float(diff @ (mu * diff))) <= 1e-10 * math.sqrt(n2)
@@ -195,7 +205,7 @@ def test_pruned_least_squares_spans_vertex_space(toy_system, toy_embedding):
     mu = np.array([float(partition.blocks[b].measure) for b in vbm.blocks])
     pos = {b: i for i, b in enumerate(partition.leaf_ids)}
     cols = [pos[b] for b in vbm.blocks]
-    R = np.vstack([f.to_vector()[cols] for f in pruned.functions()]).T  # vertex x function
+    R = np.vstack([f.vector[cols] for f in pruned.functions()]).T  # vertex x function
     Rw = R * np.sqrt(mu)[:, None]
     assert np.linalg.matrix_rank(Rw) == 6
     rng = np.random.default_rng(31)
@@ -237,7 +247,7 @@ def test_vertex_span_bounds_agree_with_general_frame_bounds(toy_system, toy_embe
     partition, vbm = toy_embedding
     restricted = ah.restrict_system(toy_system, vbm)
     pruned, _ = ah.prune_redundant(restricted, vbm)
-    space = [ah.PwcFunction(partition, {b: 1.0}) for b in vbm.blocks]
+    space = [indicator(partition, [b]) for b in vbm.blocks]
     for system in (restricted, pruned):
         lo1, hi1, _ = ah.vertex_span_bounds(system, vbm)
         lo2, hi2 = ah.frame_bounds(list(system.functions()), space)

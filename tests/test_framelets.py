@@ -8,7 +8,7 @@ import pytest
 import adahaar as ah
 from adahaar import BadPair, BadWeights, DegenerateSpan, IndexMismatch, PartitionMismatch
 
-from conftest import random_interval_levels
+from conftest import indicator, random_interval_levels
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -91,16 +91,16 @@ def test_toy_atom_values(interval_system):
 
     a0 = atoms[0]  # root split [0,1/4) vs [1/4,1]
     for leaf in part.leaves_under(a0.block1):
-        assert abs(a0.function.values[leaf] - SQ3) <= 1e-12
+        assert abs(a0.function.vector[part.leaf_index[leaf]] - SQ3) <= 1e-12
     for leaf in part.leaves_under(a0.block2):
-        assert abs(a0.function.values[leaf] + 1 / SQ3) <= 1e-12
+        assert abs(a0.function.vector[part.leaf_index[leaf]] + 1 / SQ3) <= 1e-12
 
     a5 = atoms[5]  # ternary split, last pair: equal halves of [7/12, 11/12)
     v = math.sqrt(1.5)
     assert leaf_interval(part, a5.block1) == (F(7, 12), F(3, 4))
     assert leaf_interval(part, a5.block2) == (F(3, 4), F(11, 12))
-    assert abs(a5.function.values[a5.block1] - v) <= 1e-12
-    assert abs(a5.function.values[a5.block2] + v) <= 1e-12
+    assert abs(a5.function.vector[part.leaf_index[a5.block1]] - v) <= 1e-12
+    assert abs(a5.function.vector[part.leaf_index[a5.block2]] + v) <= 1e-12
 
 
 def test_toy_atom_rational_oracle(interval_system):
@@ -118,8 +118,8 @@ def test_toy_atom_rational_oracle(interval_system):
         m2 = part.blocks[a.block2].measure
         sq1 = (m2 / pm) / m1
         sq2 = (m1 / pm) / m2
-        v1 = a.function.values[next(iter(part.leaves_under(a.block1)))]
-        v2 = a.function.values[next(iter(part.leaves_under(a.block2)))]
+        v1 = a.function.vector[part.leaf_index[next(iter(part.leaves_under(a.block1)))]]
+        v2 = a.function.vector[part.leaf_index[next(iter(part.leaves_under(a.block2)))]]
         assert v1 > 0 > v2
         assert abs(v1 * v1 - float(sq1)) <= 1e-14 * max(1.0, float(sq1))
         assert abs(v2 * v2 - float(sq2)) <= 1e-14 * max(1.0, float(sq2))
@@ -136,8 +136,8 @@ def test_toy_second_atom_printed_coefficients(interval_system):
     assert (part.blocks[a1.block1].measure / pm) / part.blocks[a1.block2].measure == F(32, 3)
     leaf1 = part.leaves_under(a1.block1)[0]
     leaf2 = part.leaves_under(a1.block2)[0]
-    assert abs(a1.function.values[leaf1] - 1 / math.sqrt(6)) <= 1e-12
-    assert abs(a1.function.values[leaf2] + 8 / math.sqrt(6)) <= 1e-12
+    assert abs(a1.function.vector[part.leaf_index[leaf1]] - 1 / math.sqrt(6)) <= 1e-12
+    assert abs(a1.function.vector[part.leaf_index[leaf2]] + 8 / math.sqrt(6)) <= 1e-12
 
 
 def test_generators_dyadic_square():
@@ -147,8 +147,8 @@ def test_generators_dyadic_square():
     assert len(atoms) == 6
     assert [(a.l1, a.l2) for a in atoms] == list(combinations(range(1, 5), 2))
     for a in atoms:
-        assert abs(a.function.values[a.block1] - 1.0) <= 1e-15
-        assert abs(a.function.values[a.block2] + 1.0) <= 1e-15
+        assert abs(a.function.vector[p.leaf_index[a.block1]] - 1.0) <= 1e-15
+        assert abs(a.function.vector[p.leaf_index[a.block2]] + 1.0) <= 1e-15
 
 
 def test_build_system_sizes(toy_system, interval_system):
@@ -173,24 +173,34 @@ def test_inner_product_basics(interval_system):
     assert abs(ah.inner_product(phi, phi) - 1.0) <= 1e-14
     a0, a1 = interval_system.atoms[0], interval_system.atoms[1]
     assert abs(ah.inner_product(a0.function, a1.function)) <= 1e-14
-    quarter = ah.PwcFunction(part, {part.leaf_ids[0]: 1.0, part.leaf_ids[1]: 1.0})
-    unit = ah.PwcFunction(part, {b: 1.0 for b in part.leaf_ids})
+    quarter = indicator(part, part.leaf_ids[:2])
+    unit = indicator(part, part.leaf_ids)
     assert abs(ah.inner_product(quarter, unit) - 0.25) <= 1e-14
 
 
 def test_inner_product_partition_mismatch():
     p1 = ah.make_dyadic_partition(1, 1)
     p2 = ah.make_dyadic_partition(1, 2)
-    f = ah.PwcFunction(p1, {p1.leaf_ids[0]: 1.0})
-    g = ah.PwcFunction(p2, {p2.leaf_ids[0]: 1.0})
+    f = indicator(p1, p1.leaf_ids[:1])
+    g = indicator(p2, p2.leaf_ids[:1])
     with pytest.raises(PartitionMismatch):
         ah.inner_product(f, g)
 
 
-def test_pwc_function_rejects_non_leaf_keys():
+def test_pwc_function_is_a_read_only_copy_of_one_value_per_leaf():
     p = ah.make_dyadic_partition(1, 2)
+    for bad in ([1.0, 2.0, 3.0], np.ones(5), np.ones((4, 1)), 1.0):
+        with pytest.raises(ValueError):
+            ah.PwcFunction(p, bad)
+    given = np.arange(4.0)
+    f = ah.PwcFunction(p, given)
+    assert np.array_equal(f.vector, given) and f.vector.dtype == float
+    assert not f.vector.flags.writeable
     with pytest.raises(ValueError):
-        ah.PwcFunction(p, {p.root: 1.0})
+        f.vector[0] = 9.0
+    given[0] = 9.0  # the caller's array stays writable and unaliased
+    assert f.vector[0] == 0.0
+    assert np.array_equal(ah.PwcFunction(p, [0, 1, 2, 3]).vector, np.arange(4.0))
 
 
 def test_analyze_scaling_function(toy_system):
@@ -211,22 +221,22 @@ def test_parseval_and_reconstruction_random(toy_system):
     rng = np.random.default_rng(5)
     part = toy_system.partition
     for _ in range(20):
-        f = ah.PwcFunction.from_vector(part, rng.standard_normal(len(part.leaf_ids)))
+        f = ah.PwcFunction(part, rng.standard_normal(len(part.leaf_ids)))
         n2 = ah.inner_product(f, f)
         cv = ah.analyze(toy_system, f)
         assert abs(cv.energy() - n2) <= 1e-10 * n2
         g = ah.synthesize(toy_system, cv)
-        err = ah.norm2(ah.PwcFunction.from_vector(part, f.to_vector() - g.to_vector()))
+        err = ah.norm2(ah.PwcFunction(part, f.vector - g.vector))
         assert err <= 1e-10 * math.sqrt(n2)
 
 
 def test_synthesize_trivial_cases(toy_system):
     zero = ah.synthesize(toy_system, ah.CoefficientVector(
         toy_system, 0.0, np.zeros(len(toy_system.atoms))))
-    assert np.abs(zero.to_vector()).max() == 0.0
+    assert np.abs(zero.vector).max() == 0.0
     phi = ah.synthesize(toy_system, ah.CoefficientVector(
         toy_system, 1.0, np.zeros(len(toy_system.atoms))))
-    assert np.allclose(phi.to_vector(), toy_system.scaling.to_vector(), atol=1e-15)
+    assert np.allclose(phi.vector, toy_system.scaling.vector, atol=1e-15)
 
 
 def test_synthesize_index_mismatch(toy_system):
@@ -252,7 +262,7 @@ def test_child_indicators_recoverable_from_parent_and_atoms(interval_system):
         pos = {leaf: i for i, leaf in enumerate(part.leaf_ids)}
         for leaf in part.leaves_under(parent):
             parent_indicator[pos[leaf]] = 1.0 / math.sqrt(float(pm))
-        stack = [parent_indicator] + [a.function.to_vector() for a in atoms]
+        stack = [parent_indicator] + [a.function.vector for a in atoms]
         for col, child in enumerate(kids):
             recon = sum(A[r, col] * stack[r] for r in range(len(stack)))
             expect = np.zeros(len(part.leaf_ids))
@@ -272,7 +282,7 @@ def test_atoms_reproduce_their_span(interval_system):
         atoms = ah.build_generators(p, parent if parent is not None else p.root)
         if not atoms:
             continue
-        vectors = np.array([a.function.to_vector() for a in atoms])
+        vectors = np.array([a.function.vector for a in atoms])
         mu = np.array([float(p.blocks[b].measure) for b in p.leaf_ids])
         for _ in range(10):
             g = rng.standard_normal(len(atoms)) @ vectors
@@ -292,7 +302,7 @@ def test_cross_scale_orthogonality_and_moments(toy_system):
     mu = np.array([float(toy_system.partition.blocks[b].measure)
                    for b in toy_system.partition.leaf_ids])
     for a in toy_system.atoms:
-        assert abs(a.function.to_vector() @ mu) <= 1e-12
+        assert abs(a.function.vector @ mu) <= 1e-12
 
 
 def test_atom_norm_equals_weight_sum(toy_system):
@@ -352,14 +362,14 @@ def test_gram_dyadic_square_overlap_structure():
 def test_frame_bounds_tight_on_leaf_span():
     p = ah.make_dyadic_partition(2, 2)
     sys_ = ah.build_system(p)
-    space = [ah.PwcFunction(p, {b: 1.0}) for b in p.leaf_ids]
+    space = [indicator(p, [b]) for b in p.leaf_ids]
     lo, hi = ah.frame_bounds(list(sys_.functions()), space)
     assert abs(lo - 1.0) <= 1e-9 and abs(hi - 1.0) <= 1e-9
 
 
 def test_frame_bounds_drop_below_one_without_an_atom(interval_system):
     part = interval_system.partition
-    space = [ah.PwcFunction(part, {b: 1.0}) for b in part.leaf_ids]
+    space = [indicator(part, [b]) for b in part.leaf_ids]
     crippled = interval_system.subset(interval_system.atoms[1:])  # drop the unit-norm one
     lo, _ = ah.frame_bounds(list(crippled.functions()), space)
     assert lo < 1.0 - 1e-6
@@ -367,7 +377,7 @@ def test_frame_bounds_drop_below_one_without_an_atom(interval_system):
 
 def test_frame_bounds_degenerate_span(interval_system):
     part = interval_system.partition
-    f = ah.PwcFunction(part, {part.leaf_ids[0]: 1.0})
+    f = indicator(part, part.leaf_ids[:1])
     with pytest.raises(DegenerateSpan):
         ah.frame_bounds([interval_system.scaling], [f, f])
 
@@ -383,7 +393,7 @@ def test_system_json_roundtrip(toy_system):
 def test_coefficient_csv_roundtrip(toy_system, tmp_path):
     rng = np.random.default_rng(17)
     part = toy_system.partition
-    f = ah.PwcFunction.from_vector(part, rng.standard_normal(len(part.leaf_ids)))
+    f = ah.PwcFunction(part, rng.standard_normal(len(part.leaf_ids)))
     cv = ah.analyze(toy_system, f)
     path = tmp_path / "coeffs.csv"
     with open(path, "w", newline="") as fh:

@@ -80,6 +80,16 @@ def test_refine_level0_must_be_unit():
         ah.refine_interval_level([[(0, F(1, 2)), (F(1, 2), 1)]])
 
 
+def test_as_fraction_reads_numbers_and_rejects_pairs():
+    assert ah.as_fraction(3) == 3 and ah.as_fraction("1/3") == F(1, 3)
+    assert ah.as_fraction(0.5) == F(1, 2) and ah.as_fraction(F(2, 7)) == F(2, 7)
+    for bad in [(1.5, 2), (1, 2), [1, 2], None]:
+        with pytest.raises(TypeError):
+            ah.as_fraction(bad)
+    with pytest.raises(TypeError):
+        ah.refine_interval_level([[(0, 1)], [(0, (1, 2)), ((1, 2), 1)]])
+
+
 def test_tensor_toy_level_counts(chain_x, chain_y):
     px = ah.chain_to_intervals(chain_x).partition
     py = ah.chain_to_intervals(chain_y).partition

@@ -1,11 +1,15 @@
-"""Tree-local validation and restriction against their pairwise-geometry oracles.
+"""Tree-local validation, restriction and chain embedding against their oracles.
 
 The library decides "do these blocks overlap?" among siblings only and
 "does this block meet a vertex?" by ancestry. The functions below are the
 exact-geometry versions that compare every pair of blocks on a level and
 every block against every vertex block; they are kept here as oracles.
+`chain_to_intervals` takes children from one inverse parent map per level;
+the oracle scans every fine node per coarse node and orders children by the
+member sets `Chain.members` rebuilds.
 """
 
+from fractions import Fraction
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -15,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import adahaar as ah
+from adahaar import Chain, IntervalEmbedding, ZeroDegreeCluster, refine_interval_level
 from adahaar.embedding import _effective_blocks
 from adahaar.hierarchy import Block, HierarchicalPartition, Interval, PartitionReport, ZERO, ONE
 
@@ -72,6 +77,102 @@ def geometric_prune_keys(system, vbm):
             allowed.add(witness)
         kept.extend(a for a in atoms if a.l1 in allowed and a.l2 in allowed)
     return [a.key for a in kept]
+
+
+def chain_to_intervals_by_members(chain: Chain) -> IntervalEmbedding:
+    """Degree-proportional interval embedding of a coarse-grained chain.
+
+    Endpoints are exact rationals (float degrees convert via their binary
+    expansion, integer degrees stay integers). A cluster whose children
+    have zero total degree raises ZeroDegreeCluster.
+    """
+    J = chain.depth
+    if chain.graphs[-1].n != 1:
+        raise ValueError("chain must end in a single-node graph")
+    node_iv = [[(Fraction(0), Fraction(1))]]
+    for j in range(1, J + 1):
+        fine = chain.graphs[J - j]
+        coarse = chain.graphs[J - j + 1]
+        pmap = chain.parents[J - j]
+        members = chain.members(J - j)
+        degs = [Fraction(float(d)) for d in fine.degrees()]
+        intervals = [None] * fine.n
+        for k in range(coarse.n):
+            kids = sorted((u for u in range(fine.n) if pmap[u] == k),
+                          key=lambda u: min(members[u]))
+            total = sum((degs[u] for u in kids), Fraction(0))
+            if total == 0:
+                raise ZeroDegreeCluster(
+                    f"children of node {k} at level {j - 1} have zero total degree")
+            a, b = node_iv[j - 1][k]
+            cur = a
+            for u in kids:
+                width = (b - a) * degs[u] / total
+                intervals[u] = (cur, cur + width)
+                cur += width
+        node_iv.append(intervals)
+    partition = refine_interval_level([sorted(level) for level in node_iv])
+    node_blocks = []
+    for j, level in enumerate(node_iv):
+        lookup = {(blk.sides[0].lo, blk.sides[0].hi): bid
+                  for bid in partition.levels[j]
+                  for blk in [partition.blocks[bid]]}
+        node_blocks.append(tuple(lookup[iv] for iv in level))
+    return IntervalEmbedding(partition, tuple(node_blocks))
+
+
+def assert_same_embedding(chain):
+    got, expect = ah.chain_to_intervals(chain), chain_to_intervals_by_members(chain)
+    assert got.partition.to_json() == expect.partition.to_json()
+    assert got.node_blocks == expect.node_blocks
+
+
+def renumbered(chain, rng):
+    """The same chain with the nodes of every coarse level numbered at random,
+    so that node order and smallest-vertex order differ."""
+    graphs, parents = [chain.graphs[0]], []
+    new_of = np.arange(chain.graphs[0].n)  # old node -> new node, previous level
+    for pmap, g in zip(chain.parents, chain.graphs[1:]):
+        perm = rng.permutation(g.n)
+        new_pmap = np.empty_like(pmap)
+        new_pmap[new_of] = perm[pmap]
+        old = np.argsort(perm)
+        graphs.append(ah.Graph(g.weights[np.ix_(old, old)], [g.labels[i] for i in old]))
+        parents.append(new_pmap)
+        new_of = perm
+    out = Chain(graphs, parents)
+    out.validate()
+    return out
+
+
+def test_toy_chain_embeddings_match_member_oracle(chain_x, chain_y):
+    rng = np.random.default_rng(1)
+    for chain in (chain_x, chain_y, ah.pad_chain(chain_x, 5)):
+        assert_same_embedding(chain)
+        assert_same_embedding(renumbered(chain, rng))
+
+
+@pytest.mark.parametrize("float_weights", [False, True])
+@pytest.mark.parametrize("n", [4, 5, 8, 13, 21, 34, 48])
+def test_chain_embeddings_match_member_oracle(n, float_weights):
+    g = random_digraph(np.random.default_rng([n, int(float_weights), 5]), n, float_weights)
+    rng = np.random.default_rng([n, int(float_weights), 6])
+    for sym in ah.symmetrize(g):
+        chain = ah.build_chain(sym)
+        assert_same_embedding(chain)
+        assert_same_embedding(ah.pad_chain(chain, chain.depth + 2))
+        shuffled = renumbered(chain, rng)
+        assert_same_embedding(shuffled)
+        if not float_weights:  # float degrees of a permuted matrix may differ in the last bit
+            assert (ah.chain_to_intervals(shuffled).partition.to_json()
+                    == ah.chain_to_intervals(chain).partition.to_json())
+        # a coarse graph that is not its finer graph's coarse-graining still
+        # embeds by its own degrees
+        coarse = chain.graphs[-2]
+        W = np.array(coarse.weights)
+        W[0, 0] += 1.0
+        chain.graphs[-2] = ah.Graph(W, coarse.labels)
+        assert_same_embedding(chain)
 
 
 def _shift_endpoint(draw, p, blocks, children):
