@@ -16,8 +16,8 @@ from .errors import (AdahaarError, BadClustering, BadPair, BadWeights,
                      ZeroDegreeCluster)
 from .framelets import (CoefficientVector, FrameletAtom, FrameletSystem,
                         PwcFunction, analyze, build_generators, build_system,
-                        flat_to_pair, frame_bounds, gram_matrix, inner_product,
-                        norm2, pair_to_flat, refinement_matrix, synthesize)
+                        frame_bounds, gram_matrix, inner_product, pair_to_flat,
+                        refinement_matrix, synthesize)
 from .graphs import (Chain, Clustering, Graph, build_chain, coarse_grain,
                      default_cluster, is_weakly_connected, pad_chain,
                      symmetrize)

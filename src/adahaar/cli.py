@@ -19,12 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import framelets
 from .embedding import (VertexBlockMap, digraph_embedding, function_to_signal,
                         prune_redundant, restrict_system, signal_to_function,
                         vertex_span_bounds)
 from .errors import AdahaarError, ParseError
-from .framelets import (FrameletSystem, analyze, build_system,
+from .framelets import (FrameletSystem, PwcFunction, analyze, build_system,
                         coefficients_from_csv, coefficients_to_csv,
                         inner_product, refinement_matrix, synthesize)
 from .graphs import Chain, Graph, build_chain, is_weakly_connected, pad_chain, symmetrize
@@ -198,20 +197,17 @@ def _verify_checks(partition, system, vbm, rng, n_signals=20):
                 worst = max(worst, float(np.abs(A.T @ A - np.eye(len(b))).max()))
     yield "refinement_orthogonality", worst <= 1e-12, f"max residual {worst:.3e}"
 
+    F = system.function_matrix()  # built once for the three dense checks below
     mu = partition.leaf_measures
-    integrals = system.function_matrix()[1:] @ mu
-    worst = float(np.abs(integrals).max(initial=0.0))
+    worst = float(np.abs(F[1:] @ mu).max(initial=0.0))
     yield "vanishing_moments", worst <= 1e-12, f"max |integral| {worst:.3e}"
 
-    worst = 0.0
-    for a in system.atoms:
-        b = partition.split_weights[a.parent]
-        expect = float(b[a.l1 - 1] + b[a.l2 - 1])
-        got = inner_product(a.function, a.function)
-        worst = max(worst, abs(got - expect))
+    b = partition.split_weights
+    expect = [float(b[a.parent][a.l1 - 1] + b[a.parent][a.l2 - 1]) for a in system.atoms]
+    worst = float(np.abs((F[1:] ** 2) @ mu - expect).max(initial=0.0))
     yield "atom_norms", worst <= 1e-12, f"max norm error {worst:.3e}"
 
-    G = framelets.gram_matrix(system)
+    G = (F * mu) @ F.T
     levels = np.array([-1] + [a.level for a in system.atoms])  # -1: scaling function
     cross = np.triu(levels[:, None] != levels[None, :], 1)
     worst = float(np.abs(G[cross]).max(initial=0.0))
@@ -224,7 +220,7 @@ def _verify_checks(partition, system, vbm, rng, n_signals=20):
             f = signal_to_function(values, vbm)
         else:
             vec = rng.standard_normal(len(partition.leaf_ids))
-            f = framelets.PwcFunction(partition, vec)
+            f = PwcFunction(partition, vec)
         nrm = inner_product(f, f)
         cv = analyze(system, f)
         worst_p = max(worst_p, abs(cv.energy() - nrm) / nrm)

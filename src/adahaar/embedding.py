@@ -238,14 +238,14 @@ def vertex_span_bounds(system: FrameletSystem, vbm: VertexBlockMap) -> tuple:
     """Frame bounds and rank of a system on the span of the vertex indicators.
 
     The normalized vertex indicators are orthonormal (vertex blocks are
-    disjoint), so the frame operator compresses to M^T M with
-    M[h, v] = <h, indicator_v>/sqrt(measure_v).
+    disjoint), so the frame operator compresses to M^T M, with column v of
+    M the analysis of indicator_v / sqrt(measure_v).
     """
     part = system.partition
     cols = [part.leaf_index[b] for b in vbm.blocks]
-    F = system.function_matrix()
-    scale = np.sqrt(part.leaf_measures[cols])
-    M = F[:, cols] * scale  # value at the block times sqrt(measure)
+    X = np.zeros((len(part.leaf_ids), len(cols)))
+    X[cols, range(len(cols))] = 1.0 / np.sqrt(part.leaf_measures[cols])
+    M = system.analysis(X)
     ev = np.linalg.eigvalsh(M.T @ M)
     rank = int((ev > RANK_TOL * max(ev[-1], 1e-300)).sum())
     return float(ev[0]), float(ev[-1]), rank

@@ -8,9 +8,11 @@ indicators; when every split is binary the system is an orthonormal basis.
 
 A function is one read-only vector of values on the finest-level blocks,
 in the partition's `leaf_ids` order. An atom is a key, a parent block and a
-pair of its children: its heights (from the split weights), its leaf vector,
-the scaling function and the leaf measures come from the partition. Inner
-products sum over leaves weighted by their measures.
+pair of its children; no leaf values are stored. With c_B = (integral of f
+over B) / sqrt|B|, analysis is one bottom-up pass, c_P = sum_i sqrt(b_i) c_Bi
+with b the split weights, up to the root's c, the scaling coefficient; the
+pair (l1, l2) gets sqrt(b_l2) c_B1 - sqrt(b_l1) c_B2, a row of
+`refinement_matrix(b)`. Synthesis is the transpose, run top down.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -32,23 +35,11 @@ RANK_TOL = 1e-10
 def pair_to_flat(i1: int, i2: int, m: int) -> int:
     """Rank of the pair (i1, i2), 1 <= i1 < i2 <= m, in lexicographic order.
 
-    Bijection onto 1..m(m-1)/2; see flat_to_pair for the inverse.
+    Bijection onto 1..m(m-1)/2.
     """
     if not (1 <= i1 < i2 <= m):
         raise BadPair(f"need 1 <= i1 < i2 <= m, got ({i1}, {i2}) with m={m}")
     return (2 * m - i1) * (i1 - 1) // 2 + i2 - i1
-
-
-def flat_to_pair(i: int, m: int) -> tuple:
-    """Inverse of pair_to_flat."""
-    n = m * (m - 1) // 2
-    if not (1 <= i <= n):
-        raise BadPair(f"flat index {i} out of range 1..{n}")
-    i1 = 1
-    while (2 * m - i1) * (i1 - 1) // 2 + (m - i1) < i:
-        i1 += 1
-    i2 = i - (2 * m - i1) * (i1 - 1) // 2 + i1
-    return i1, i2
 
 
 def refinement_matrix(b) -> np.ndarray:
@@ -98,16 +89,12 @@ def inner_product(f: PwcFunction, g: PwcFunction) -> float:
     return math.fsum(terms[terms != 0.0].tolist())  # zeros add nothing; fsum is slow per term
 
 
-def norm2(f: PwcFunction) -> float:
-    return math.sqrt(max(inner_product(f, f), 0.0))
-
-
 @dataclass(frozen=True, eq=False)
 class FrameletAtom:
-    """One generator: supported on two sibling blocks, zero integral.
+    """Generator with zero integral: sqrt(b_l2/|block1|) on block1, -sqrt(b_l1/|block2|) on block2.
 
-    l1 < l2 are 1-based positions within the parent's child list; block1 and
-    block2 are the corresponding block ids, where `heights` gives its values.
+    l1 < l2 are 1-based positions within the parent's child list, block1 and
+    block2 the corresponding sibling block ids and b the parent's split weights.
     """
 
     partition: HierarchicalPartition
@@ -122,20 +109,12 @@ class FrameletAtom:
     def key(self) -> tuple:
         return (self.level, self.parent, self.l1, self.l2)
 
-    @property
-    def heights(self) -> tuple:
-        """+-sqrt(sibling's split weight / own measure) on block1, block2; exact before the sqrt."""
-        b, blocks = self.partition.split_weights[self.parent], self.partition.blocks
-        return (math.sqrt(float(b[self.l2 - 1] / blocks[self.block1].measure)),
-                -math.sqrt(float(b[self.l1 - 1] / blocks[self.block2].measure)))
 
-    @property
-    def function(self) -> PwcFunction:
-        part = self.partition
-        vec = np.zeros(len(part.leaf_ids))
-        for block, h in zip((self.block1, self.block2), self.heights):
-            vec[[part.leaf_index[leaf] for leaf in part.leaves_under(block)]] = h
-        return PwcFunction(part, vec)
+def _sum_rows(index, rows, size) -> np.ndarray:
+    """The rows of `rows` (n x k) summed by `index` into a (size x k) array."""
+    k = rows.shape[1]
+    flat = (index[:, None] * k + np.arange(k)).ravel()
+    return np.bincount(flat, rows.ravel(), minlength=size * k).reshape(size, k)
 
 
 def make_atom(partition, level, parent, l1, l2) -> FrameletAtom:
@@ -166,22 +145,46 @@ class FrameletSystem:
         self.partition = partition
         self.depth = depth
         self.atoms = tuple(atoms)
-        self._matrix = None
 
     def __len__(self):
         return 1 + len(self.atoms)
 
-    @property
-    def scaling(self) -> PwcFunction:
-        """The normalized indicator of the root block."""
-        v = 1.0 / math.sqrt(float(self.partition.measure))
-        return PwcFunction(self.partition, np.full(len(self.partition.leaf_ids), v))
+    @cached_property
+    def pairs(self) -> tuple:
+        """(pos1, pos2, w1, w2): function k's coefficient is w1[k] c[pos1[k]] - w2[k] c[pos2[k]].
 
-    def functions(self):
-        """The scaling function followed by every atom function."""
-        yield self.scaling
-        for a in self.atoms:
-            yield a.function
+        Scaling first, as the root twice with weights 1 and 0; an atom has the
+        cascade positions of block1 and block2, sqrt(b_l2) and sqrt(b_l1).
+        """
+        pos, _, _, sqrt_b = self.partition.cascade
+        pos1 = np.array([0] + [pos[a.block1] for a in self.atoms])
+        pos2 = np.array([0] + [pos[a.block2] for a in self.atoms])
+        w1, w2 = sqrt_b[pos2], sqrt_b[pos1]
+        w2[0] = 0.0
+        for x in (pos1, pos2, w1, w2):
+            x.flags.writeable = False
+        return pos1, pos2, w1, w2
+
+    def analysis(self, X) -> np.ndarray:
+        """Inner products of leaf values X (leaves x k, one column per signal) with every
+        function, scaling first: one bottom-up pass."""
+        _, bounds, parent, sqrt_b = self.partition.cascade
+        c = np.zeros((len(parent), X.shape[1]))
+        c[bounds[-1][0]:] = X * np.sqrt(self.partition.leaf_measures)[:, None]
+        for (s, e), (ps, pe) in zip(bounds[:0:-1], bounds[-2::-1]):
+            c[ps:pe] += _sum_rows(parent[s:e] - ps, sqrt_b[s:e, None] * c[s:e], pe - ps)
+        pos1, pos2, w1, w2 = self.pairs
+        return w1[:, None] * c[pos1] - w2[:, None] * c[pos2]
+
+    def synthesis(self, A) -> np.ndarray:
+        """Leaf values of the sums of the functions weighted by the columns of A (one row per
+        function, scaling first): one top-down pass, the transpose of `analysis`."""
+        _, bounds, parent, sqrt_b = self.partition.cascade
+        pos1, pos2, w1, w2 = self.pairs
+        d = _sum_rows(np.r_[pos1, pos2], np.r_[w1[:, None] * A, -w2[:, None] * A], len(parent))
+        for s, e in bounds[1:]:
+            d[s:e] += sqrt_b[s:e, None] * d[parent[s:e]]
+        return d[bounds[-1][0]:] / np.sqrt(self.partition.leaf_measures)[:, None]
 
     def counts_by_level(self) -> list:
         counts = [0] * self.depth
@@ -193,11 +196,25 @@ class FrameletSystem:
         return FrameletSystem(self.partition, self.depth, atoms)
 
     def function_matrix(self) -> np.ndarray:
-        """Row per function, column per leaf of the partition (cached)."""
-        if self._matrix is None:
-            self._matrix = np.vstack([f.vector for f in self.functions()])
-            self._matrix.setflags(write=False)
-        return self._matrix
+        """Row per function (scaling first), column per leaf: the synthesis of each unit vector,
+        one atom level at a time from its two entries down to the leaves. Not cached."""
+        _, bounds, parent, sqrt_b = self.partition.cascade
+        pos1, pos2, w1, w2 = self.pairs
+        level = np.array([-1] + [a.level for a in self.atoms])  # -1: the scaling function
+        F = np.empty((len(self), len(self.partition.leaf_ids)))
+        for j in range(-1, self.depth):
+            rows = np.flatnonzero(level == j)
+            s, e = bounds[j + 1]  # the level of the rows' blocks
+            D = np.zeros((len(rows), e - s))
+            D[np.arange(len(rows)), pos1[rows] - s] = w1[rows]
+            D[np.arange(len(rows)), pos2[rows] - s] -= w2[rows]
+            for s2, e2 in bounds[j + 2:]:
+                D = D[:, parent[s2:e2] - s]
+                D *= sqrt_b[s2:e2]
+                s = s2
+            D /= np.sqrt(self.partition.leaf_measures)
+            F[rows] = D
+        return F
 
     def to_json(self) -> dict:
         return {"depth": self.depth,
@@ -261,21 +278,18 @@ class CoefficientVector:
 
 
 def analyze(system: FrameletSystem, f: PwcFunction) -> CoefficientVector:
-    """Inner products of f against every system function."""
+    """Inner products of f against every system function, by `FrameletSystem.analysis`."""
     if f.partition != system.partition:
         raise PartitionMismatch("signal lives on a different partition")
-    weighted = system.function_matrix() * system.partition.leaf_measures
-    c = weighted @ f.vector
+    c = system.analysis(f.vector[:, None])[:, 0]
     return CoefficientVector(system, float(c[0]), c[1:])
 
 
 def synthesize(system: FrameletSystem, cv: CoefficientVector) -> PwcFunction:
-    """Coefficient-weighted sum of the system functions."""
+    """Coefficient-weighted sum of the system functions, by `FrameletSystem.synthesis`."""
     if cv.system is not system and cv.system.to_json() != system.to_json():
         raise IndexMismatch("coefficients indexed by a different system")
-    if cv.coefficients.shape != (len(system.atoms),):
-        raise IndexMismatch("coefficient count does not match the system")
-    vec = np.concatenate(([cv.c0], cv.coefficients)) @ system.function_matrix()
+    vec = system.synthesis(np.concatenate(([cv.c0], cv.coefficients))[:, None])[:, 0]
     return PwcFunction(system.partition, vec)
 
 

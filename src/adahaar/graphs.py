@@ -66,9 +66,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return self.weights.sum(axis=1)
 
-    def index_of(self, label) -> int:
-        return self.labels.index(label)
-
     def __repr__(self):
         kind = "Digraph" if self.directed else "Graph"
         return f"{kind}(n={self.n}, total_weight={self.weights.sum():g})"

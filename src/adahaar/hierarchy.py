@@ -62,10 +62,6 @@ class Block:
     id: int
     sides: tuple
 
-    @property
-    def dimension(self) -> int:
-        return len(self.sides)
-
     @cached_property
     def measure(self) -> Fraction:
         m = ONE
@@ -93,7 +89,8 @@ class HierarchicalPartition:
     `children[id]` the ordered child ids of a non-leaf block. Level 0 is the
     single root block; every block is tiled exactly by its children.
     `leaf_index` (leaf id -> position) and the read-only float `leaf_measures`
-    follow the order of `leaf_ids`.
+    follow the order of `leaf_ids`; `split_weights` and `cascade` are computed
+    on first read.
     Instances are immutable; builders and `from_json` are the only intended
     constructors.
     """
@@ -113,18 +110,6 @@ class HierarchicalPartition:
         for j, level in enumerate(self.levels):
             for b in level:
                 self.level_of[b] = j
-        # leaves under each block, bottom up
-        self._leaves_under = {}
-        for level in reversed(self.levels):
-            for b in level:
-                kids = self.children[b]
-                if not kids:
-                    self._leaves_under[b] = (b,)
-                else:
-                    acc = []
-                    for c in kids:
-                        acc.extend(self._leaves_under[c])
-                    self._leaves_under[b] = tuple(acc)
         self.leaf_index = {b: i for i, b in enumerate(self.leaf_ids)}
         self.leaf_measures = np.array([float(self.blocks[b].measure) for b in self.leaf_ids])
         self.leaf_measures.setflags(write=False)
@@ -141,18 +126,26 @@ class HierarchicalPartition:
     def leaf_ids(self) -> tuple:
         return self.levels[-1]
 
-    @property
-    def measure(self) -> Fraction:
-        return self.blocks[self.root].measure
-
-    def leaves_under(self, block_id) -> tuple:
-        return self._leaves_under[block_id]
-
     @cached_property
     def split_weights(self) -> dict:
         """Parent id -> exact shares |child| / |parent|, in child order (computed once)."""
         return {p: tuple(self.blocks[c].measure / self.blocks[p].measure for c in kids)
                 for p, kids in self.children.items() if kids}
+
+    @cached_property
+    def cascade(self) -> tuple:
+        """The tree as arrays for the framelet transforms: (block id -> position, each level's
+        (start, stop) positions, parent positions with -1 at the root, float sqrt(split
+        weight) with 1 at the root). Positions run level by level in `levels` order, so
+        the leaves come last, in `leaf_ids` order."""
+        pos = {b: i for i, b in enumerate(b for level in self.levels for b in level)}
+        stops = np.cumsum([len(level) for level in self.levels]).tolist()
+        parent = np.array([pos.get(self.parent.get(b), -1) for b in pos])
+        sqrt_b = np.ones(len(pos))
+        for p, b in self.split_weights.items():
+            sqrt_b[[pos[c] for c in self.children[p]]] = np.sqrt([float(x) for x in b])
+        parent.flags.writeable = sqrt_b.flags.writeable = False
+        return pos, tuple(zip([0] + stops, stops)), parent, sqrt_b
 
     def __eq__(self, other):
         if self is other:

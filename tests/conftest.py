@@ -87,6 +87,11 @@ def indicator(part, leaves):
     return ah.PwcFunction(part, vec)
 
 
+def functions(system):
+    """The system's functions, scaling first, as the rows of its function matrix."""
+    return [ah.PwcFunction(system.partition, row) for row in system.function_matrix()]
+
+
 def random_digraph(rng, n, float_weights):
     """Weakly connected random digraph: a random Hamiltonian path plus edges
     with probability 0.2; weights in {1, 2, 3} or three-decimal floats."""

@@ -13,8 +13,9 @@ import numpy as np
 
 import adahaar as ah
 
-from conftest import (GX_LEAVES, GY_LEAVES, VERTICES, chain_from_sets,
+from conftest import (GX_LEAVES, GY_LEAVES, VERTICES, chain_from_sets, functions,
                       random_interval_levels)
+from oracles import leaves_under
 from test_cli import run_cli, run_pipeline
 
 
@@ -32,7 +33,7 @@ def rel_reconstruction_error(system, f):
     g = ah.synthesize(system, ah.analyze(system, f))
     part = system.partition
     diff = ah.PwcFunction(part, f.vector - g.vector)
-    return ah.norm2(diff) / ah.norm2(f)
+    return math.sqrt(ah.inner_product(diff, diff)) / math.sqrt(ah.inner_product(f, f))
 
 
 def test_criterion_1_refinement_orthogonality():
@@ -62,10 +63,11 @@ def test_criterion_2_interval_system_golden(chain_x):
     size_ok = len(system) == 7
 
     a0 = system.atoms[0]
-    first_leaf = part.leaves_under(a0.block1)[0]
-    last_leaf = part.leaves_under(a0.block2)[0]
-    atom0_ok = (abs(a0.function.vector[part.leaf_index[first_leaf]] - math.sqrt(3)) <= 1e-12
-               and abs(a0.function.vector[part.leaf_index[last_leaf]] + 1 / math.sqrt(3)) <= 1e-12)
+    rows = system.function_matrix()[1:]
+    first_leaf = leaves_under(part, a0.block1)[0]
+    last_leaf = leaves_under(part, a0.block2)[0]
+    atom0_ok = (abs(rows[0][part.leaf_index[first_leaf]] - math.sqrt(3)) <= 1e-12
+               and abs(rows[0][part.leaf_index[last_leaf]] + 1 / math.sqrt(3)) <= 1e-12)
 
     # second atom recomputed through the exact rational oracle: the squared
     # values must be the sibling/child measure ratios, independent of any
@@ -74,8 +76,8 @@ def test_criterion_2_interval_system_golden(chain_x):
     pm = part.blocks[a1.parent].measure
     sq1 = (part.blocks[a1.block2].measure / pm) / part.blocks[a1.block1].measure
     sq2 = (part.blocks[a1.block1].measure / pm) / part.blocks[a1.block2].measure
-    v1 = a1.function.vector[part.leaf_index[part.leaves_under(a1.block1)[0]]]
-    v2 = a1.function.vector[part.leaf_index[part.leaves_under(a1.block2)[0]]]
+    v1 = rows[1][part.leaf_index[leaves_under(part, a1.block1)[0]]]
+    v2 = rows[1][part.leaf_index[leaves_under(part, a1.block2)[0]]]
     atom1_ok = (v1 > 0 > v2
                and abs(v1 * v1 - float(sq1)) <= 1e-14
                and abs(v2 * v2 - float(sq2)) <= 1e-13 * float(sq2)
@@ -179,10 +181,10 @@ def test_criterion_6_structural_invariants(toy_system, interval_system):
                    ah.build_system(ah.make_dyadic_partition(2, 2))):
         part = system.partition
         mu = np.array([float(part.blocks[b].measure) for b in part.leaf_ids])
-        for a in system.atoms:
-            worst_int = max(worst_int, abs(float(a.function.vector @ mu)))
-            expected = set(part.leaves_under(a.block1)) | set(part.leaves_under(a.block2))
-            got = {part.leaf_ids[i] for i in np.flatnonzero(a.function.vector != 0.0)}
+        for a, row in zip(system.atoms, system.function_matrix()[1:]):
+            worst_int = max(worst_int, abs(float(row @ mu)))
+            expected = set(leaves_under(part, a.block1)) | set(leaves_under(part, a.block2))
+            got = {part.leaf_ids[i] for i in np.flatnonzero(row != 0.0)}
             siblings = (part.parent[a.block1] == a.parent == part.parent[a.block2]
                         and a.block1 != a.block2)
             support_ok = support_ok and got == expected and siblings
@@ -227,7 +229,7 @@ def test_criterion_8_pruned_spanning(toy_system, toy_embedding):
     mu = np.sqrt([float(partition.blocks[b].measure) for b in vbm.blocks])
     pos = {b: i for i, b in enumerate(partition.leaf_ids)}
     cols = [pos[b] for b in vbm.blocks]
-    R = np.vstack([f.vector[cols] for f in pruned.functions()]).T * mu[:, None]
+    R = np.vstack([f.vector[cols] for f in functions(pruned)]).T * mu[:, None]
     rng = np.random.default_rng(108)
     worst = 0.0
     for _ in range(20):

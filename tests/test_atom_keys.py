@@ -1,11 +1,12 @@
 """Atoms as keys: function rows, split weights, leaf measures and leaf positions
 against exact oracles.
 
-An atom stores its key and its two child blocks; its heights come from the
-partition's split weights, and its leaf vector, the scaling function and the
-leaf measures from the partition. The dense rows below are built from exact
-Fraction measures the way atoms once stored them: every leaf under a child
-carries that child's height.
+An atom stores its key and its two child blocks; its values follow from the
+partition's split weights. The dense rows of `oracles.dense_matrix` are built
+from exact Fraction measures the way atoms once stored them: every leaf
+under a child carries that child's height. The function matrix is the
+cascade's synthesis of the unit coefficient vectors, so it matches those
+rows to within 1e-14 of each row's largest entry, not bit for bit.
 """
 
 import math
@@ -16,37 +17,16 @@ import pytest
 
 import adahaar as ah
 from conftest import random_digraph
-
-
-def exact_measure(block):
-    return math.prod((s.hi - s.lo for s in block.sides), start=F(1))
-
-
-def dense_rows(system):
-    """Scaling row, then one row per atom, each read off the atom's key."""
-    part = system.partition
-    pos = {b: i for i, b in enumerate(part.leaf_ids)}
-    rows = np.zeros((len(system), len(part.leaf_ids)))
-    rows[0] = 1.0 / math.sqrt(float(exact_measure(part.blocks[part.root])))
-    for r, a in enumerate(system.atoms, start=1):
-        kids = part.children[a.parent]
-        b1, b2 = kids[a.l1 - 1], kids[a.l2 - 1]
-        assert (a.block1, a.block2) == (b1, b2)
-        pm = exact_measure(part.blocks[a.parent])
-        m1, m2 = exact_measure(part.blocks[b1]), exact_measure(part.blocks[b2])
-        for leaf in part.leaves_under(b1):
-            rows[r, pos[leaf]] = math.sqrt(float((m2 / pm) / m1))
-        for leaf in part.leaves_under(b2):
-            rows[r, pos[leaf]] = -math.sqrt(float((m1 / pm) / m2))
-    return rows
+from oracles import atom_vector, dense_matrix, exact_measure, leaves_under, scaling_vector
 
 
 def check_system(system):
-    Fm = system.function_matrix()
-    assert np.array_equal(Fm, dense_rows(system))
-    assert np.array_equal(system.scaling.vector, Fm[0])
-    for row, a in zip(Fm[1:], system.atoms):
-        assert np.array_equal(a.function.vector, row)
+    part = system.partition
+    Fm, rows = system.function_matrix(), dense_matrix(system)
+    assert np.all(np.abs(Fm - rows).max(axis=1) <= 1e-14 * np.abs(rows).max(axis=1))
+    for a in system.atoms:
+        kids = part.children[a.parent]
+        assert (a.block1, a.block2) == (kids[a.l1 - 1], kids[a.l2 - 1])
         assert not any(isinstance(v, (dict, ah.PwcFunction)) for v in vars(a).values())
         assert set(vars(a)) == {"partition", "level", "parent", "l1", "l2", "block1", "block2"}
     check_inner_products(system)
@@ -58,11 +38,12 @@ def check_inner_products(system):
     part = system.partition
     mu = part.leaf_measures
     signal = ah.PwcFunction(part, np.random.default_rng(len(mu)).standard_normal(len(mu)))
+    scaling = ah.PwcFunction(part, scaling_vector(part))
     for a in system.atoms:
-        f = a.function
+        f = ah.PwcFunction(part, atom_vector(a))
         support = [part.leaf_index[leaf]
-                   for b in (a.block1, a.block2) for leaf in part.leaves_under(b)]
-        for g in (f, signal, system.scaling):
+                   for b in (a.block1, a.block2) for leaf in leaves_under(part, b)]
+        for g in (f, signal, scaling):
             expect = math.fsum(f.vector[i] * g.vector[i] * mu[i] for i in support)
             assert ah.inner_product(f, g) == expect
             assert ah.inner_product(g, f) == expect
@@ -127,12 +108,13 @@ def test_random_digraph_systems_match_exact_rows(n, float_weights):
 
 
 def test_split_weights_wait_for_the_first_height(chain_x):
-    """Building or loading atoms does no measure arithmetic; only heights read split weights."""
+    """Building or loading atoms does no measure arithmetic; the first transform reads
+    the split weights, through the atoms' cascade weights."""
     part = ah.chain_to_intervals(chain_x).partition
     system = ah.build_system(part)
     loaded = ah.FrameletSystem.from_json(part, system.to_json())
     assert [a.key for a in loaded.atoms] == [a.key for a in system.atoms]
     assert "split_weights" not in vars(part)
-    h1, h2 = system.atoms[0].heights
+    _, _, w1, w2 = system.pairs
     assert "split_weights" in vars(part)
-    assert h1 > 0 > h2
+    assert np.all(w1 > 0) and w2[0] == 0 and np.all(w2[1:] > 0)

@@ -8,7 +8,7 @@ import adahaar as ah
 from adahaar import (DepthMismatch, PartitionMismatch, UnknownVertex, ValidationError,
                      ZeroDegreeCluster)
 
-from conftest import GX_LEAVES, GY_LEAVES, VERTICES, indicator
+from conftest import GX_LEAVES, GY_LEAVES, VERTICES, functions, indicator
 
 
 def interval_of(partition, block_id):
@@ -205,7 +205,7 @@ def test_pruned_least_squares_spans_vertex_space(toy_system, toy_embedding):
     mu = np.array([float(partition.blocks[b].measure) for b in vbm.blocks])
     pos = {b: i for i, b in enumerate(partition.leaf_ids)}
     cols = [pos[b] for b in vbm.blocks]
-    R = np.vstack([f.vector[cols] for f in pruned.functions()]).T  # vertex x function
+    R = np.vstack([f.vector[cols] for f in functions(pruned)]).T  # vertex x function
     Rw = R * np.sqrt(mu)[:, None]
     assert np.linalg.matrix_rank(Rw) == 6
     rng = np.random.default_rng(31)
@@ -250,7 +250,7 @@ def test_vertex_span_bounds_agree_with_general_frame_bounds(toy_system, toy_embe
     space = [indicator(partition, [b]) for b in vbm.blocks]
     for system in (restricted, pruned):
         lo1, hi1, _ = ah.vertex_span_bounds(system, vbm)
-        lo2, hi2 = ah.frame_bounds(list(system.functions()), space)
+        lo2, hi2 = ah.frame_bounds(functions(system), space)
         assert abs(lo1 - lo2) <= 1e-9 and abs(hi1 - hi2) <= 1e-9
 
 

@@ -8,7 +8,8 @@ import pytest
 import adahaar as ah
 from adahaar import BadPair, BadWeights, DegenerateSpan, IndexMismatch, PartitionMismatch
 
-from conftest import indicator, random_interval_levels
+from conftest import functions, indicator, random_interval_levels
+from oracles import atom_vector, leaves_under, scaling_vector
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -55,7 +56,6 @@ def test_pair_rank_matches_enumeration():
     for m in range(2, 9):
         for rank, (i1, i2) in enumerate(combinations(range(1, m + 1), 2), start=1):
             assert ah.pair_to_flat(i1, i2, m) == rank
-            assert ah.flat_to_pair(rank, m) == (i1, i2)
     assert ah.pair_to_flat(1, 2, 4) == 1
     assert ah.pair_to_flat(3, 4, 4) == 6
     assert ah.pair_to_flat(2, 4, 5) == 6
@@ -65,8 +65,6 @@ def test_pair_rank_rejects_bad_pairs():
     for bad in [(2, 2, 4), (3, 2, 4), (0, 1, 4), (1, 5, 4)]:
         with pytest.raises(BadPair):
             ah.pair_to_flat(*bad)
-    with pytest.raises(BadPair):
-        ah.flat_to_pair(7, 4)
 
 
 # ---------------------------------------------------------------- generators
@@ -87,20 +85,21 @@ def test_toy_atom_values(interval_system):
     assert len(sys_) == 7
     part = sys_.partition
     atoms = sys_.atoms
+    rows = sys_.function_matrix()[1:]
     assert [a.level for a in atoms] == [0, 1, 2, 2, 2, 2]
 
     a0 = atoms[0]  # root split [0,1/4) vs [1/4,1]
-    for leaf in part.leaves_under(a0.block1):
-        assert abs(a0.function.vector[part.leaf_index[leaf]] - SQ3) <= 1e-12
-    for leaf in part.leaves_under(a0.block2):
-        assert abs(a0.function.vector[part.leaf_index[leaf]] + 1 / SQ3) <= 1e-12
+    for leaf in leaves_under(part, a0.block1):
+        assert abs(rows[0][part.leaf_index[leaf]] - SQ3) <= 1e-12
+    for leaf in leaves_under(part, a0.block2):
+        assert abs(rows[0][part.leaf_index[leaf]] + 1 / SQ3) <= 1e-12
 
     a5 = atoms[5]  # ternary split, last pair: equal halves of [7/12, 11/12)
     v = math.sqrt(1.5)
     assert leaf_interval(part, a5.block1) == (F(7, 12), F(3, 4))
     assert leaf_interval(part, a5.block2) == (F(3, 4), F(11, 12))
-    assert abs(a5.function.vector[part.leaf_index[a5.block1]] - v) <= 1e-12
-    assert abs(a5.function.vector[part.leaf_index[a5.block2]] + v) <= 1e-12
+    assert abs(rows[5][part.leaf_index[a5.block1]] - v) <= 1e-12
+    assert abs(rows[5][part.leaf_index[a5.block2]] + v) <= 1e-12
 
 
 def test_toy_atom_rational_oracle(interval_system):
@@ -112,14 +111,14 @@ def test_toy_atom_rational_oracle(interval_system):
     """
     sys_ = interval_system
     part = sys_.partition
-    for a in sys_.atoms:
+    for a, row in zip(sys_.atoms, sys_.function_matrix()[1:]):
         pm = part.blocks[a.parent].measure
         m1 = part.blocks[a.block1].measure
         m2 = part.blocks[a.block2].measure
         sq1 = (m2 / pm) / m1
         sq2 = (m1 / pm) / m2
-        v1 = a.function.vector[part.leaf_index[next(iter(part.leaves_under(a.block1)))]]
-        v2 = a.function.vector[part.leaf_index[next(iter(part.leaves_under(a.block2)))]]
+        v1 = row[part.leaf_index[leaves_under(part, a.block1)[0]]]
+        v2 = row[part.leaf_index[leaves_under(part, a.block2)[0]]]
         assert v1 > 0 > v2
         assert abs(v1 * v1 - float(sq1)) <= 1e-14 * max(1.0, float(sq1))
         assert abs(v2 * v2 - float(sq2)) <= 1e-14 * max(1.0, float(sq2))
@@ -134,10 +133,11 @@ def test_toy_second_atom_printed_coefficients(interval_system):
     pm = part.blocks[a1.parent].measure
     assert (part.blocks[a1.block2].measure / pm) / part.blocks[a1.block1].measure == F(1, 6)
     assert (part.blocks[a1.block1].measure / pm) / part.blocks[a1.block2].measure == F(32, 3)
-    leaf1 = part.leaves_under(a1.block1)[0]
-    leaf2 = part.leaves_under(a1.block2)[0]
-    assert abs(a1.function.vector[part.leaf_index[leaf1]] - 1 / math.sqrt(6)) <= 1e-12
-    assert abs(a1.function.vector[part.leaf_index[leaf2]] + 8 / math.sqrt(6)) <= 1e-12
+    leaf1 = leaves_under(part, a1.block1)[0]
+    leaf2 = leaves_under(part, a1.block2)[0]
+    row = interval_system.function_matrix()[2]
+    assert abs(row[part.leaf_index[leaf1]] - 1 / math.sqrt(6)) <= 1e-12
+    assert abs(row[part.leaf_index[leaf2]] + 8 / math.sqrt(6)) <= 1e-12
 
 
 def test_generators_dyadic_square():
@@ -146,9 +146,9 @@ def test_generators_dyadic_square():
     atoms = ah.build_generators(p, p.root)
     assert len(atoms) == 6
     assert [(a.l1, a.l2) for a in atoms] == list(combinations(range(1, 5), 2))
-    for a in atoms:
-        assert abs(a.function.vector[p.leaf_index[a.block1]] - 1.0) <= 1e-15
-        assert abs(a.function.vector[p.leaf_index[a.block2]] + 1.0) <= 1e-15
+    for a, row in zip(atoms, ah.FrameletSystem(p, 1, atoms).function_matrix()[1:]):
+        assert abs(row[p.leaf_index[a.block1]] - 1.0) <= 1e-15
+        assert abs(row[p.leaf_index[a.block2]] + 1.0) <= 1e-15
 
 
 def test_build_system_sizes(toy_system, interval_system):
@@ -169,10 +169,9 @@ def test_single_child_parent_contributes_nothing():
 
 def test_inner_product_basics(interval_system):
     part = interval_system.partition
-    phi = interval_system.scaling
+    phi, a0, a1 = functions(interval_system)[:3]
     assert abs(ah.inner_product(phi, phi) - 1.0) <= 1e-14
-    a0, a1 = interval_system.atoms[0], interval_system.atoms[1]
-    assert abs(ah.inner_product(a0.function, a1.function)) <= 1e-14
+    assert abs(ah.inner_product(a0, a1)) <= 1e-14
     quarter = indicator(part, part.leaf_ids[:2])
     unit = indicator(part, part.leaf_ids)
     assert abs(ah.inner_product(quarter, unit) - 0.25) <= 1e-14
@@ -204,13 +203,15 @@ def test_pwc_function_is_a_read_only_copy_of_one_value_per_leaf():
 
 
 def test_analyze_scaling_function(toy_system):
-    cv = ah.analyze(toy_system, toy_system.scaling)
+    cv = ah.analyze(toy_system, ah.PwcFunction(toy_system.partition,
+                                               scaling_vector(toy_system.partition)))
     assert abs(cv.c0 - 1.0) <= 1e-12
     assert np.abs(cv.coefficients).max() <= 1e-12
 
 
 def test_analyze_single_atom_of_binary_level(interval_system):
-    f = interval_system.atoms[0].function  # the only level-0 atom, unit norm
+    f = ah.PwcFunction(interval_system.partition,
+                       atom_vector(interval_system.atoms[0]))  # the only level-0 atom, unit norm
     cv = ah.analyze(interval_system, f)
     assert abs(cv.c0) <= 1e-12
     assert abs(cv.coefficients[0] - 1.0) <= 1e-12
@@ -226,7 +227,8 @@ def test_parseval_and_reconstruction_random(toy_system):
         cv = ah.analyze(toy_system, f)
         assert abs(cv.energy() - n2) <= 1e-10 * n2
         g = ah.synthesize(toy_system, cv)
-        err = ah.norm2(ah.PwcFunction(part, f.vector - g.vector))
+        diff = ah.PwcFunction(part, f.vector - g.vector)
+        err = math.sqrt(ah.inner_product(diff, diff))
         assert err <= 1e-10 * math.sqrt(n2)
 
 
@@ -236,7 +238,7 @@ def test_synthesize_trivial_cases(toy_system):
     assert np.abs(zero.vector).max() == 0.0
     phi = ah.synthesize(toy_system, ah.CoefficientVector(
         toy_system, 1.0, np.zeros(len(toy_system.atoms))))
-    assert np.allclose(phi.vector, toy_system.scaling.vector, atol=1e-15)
+    assert np.allclose(phi.vector, scaling_vector(toy_system.partition), atol=1e-15)
 
 
 def test_synthesize_index_mismatch(toy_system):
@@ -260,13 +262,13 @@ def test_child_indicators_recoverable_from_parent_and_atoms(interval_system):
         atoms = ah.build_generators(part, parent)
         parent_indicator = np.zeros(len(part.leaf_ids))
         pos = {leaf: i for i, leaf in enumerate(part.leaf_ids)}
-        for leaf in part.leaves_under(parent):
+        for leaf in leaves_under(part, parent):
             parent_indicator[pos[leaf]] = 1.0 / math.sqrt(float(pm))
-        stack = [parent_indicator] + [a.function.vector for a in atoms]
+        stack = [parent_indicator] + list(ah.FrameletSystem(part, 3, atoms).function_matrix()[1:])
         for col, child in enumerate(kids):
             recon = sum(A[r, col] * stack[r] for r in range(len(stack)))
             expect = np.zeros(len(part.leaf_ids))
-            for leaf in part.leaves_under(child):
+            for leaf in leaves_under(part, child):
                 expect[pos[leaf]] = 1.0 / math.sqrt(float(part.blocks[child].measure))
             assert np.abs(recon - expect).max() <= 1e-10
 
@@ -282,7 +284,7 @@ def test_atoms_reproduce_their_span(interval_system):
         atoms = ah.build_generators(p, parent if parent is not None else p.root)
         if not atoms:
             continue
-        vectors = np.array([a.function.vector for a in atoms])
+        vectors = ah.FrameletSystem(p, p.depth, atoms).function_matrix()[1:]
         mu = np.array([float(p.blocks[b].measure) for b in p.leaf_ids])
         for _ in range(10):
             g = rng.standard_normal(len(atoms)) @ vectors
@@ -301,16 +303,16 @@ def test_cross_scale_orthogonality_and_moments(toy_system):
                 assert abs(G[i, j]) <= 1e-12
     mu = np.array([float(toy_system.partition.blocks[b].measure)
                    for b in toy_system.partition.leaf_ids])
-    for a in toy_system.atoms:
-        assert abs(a.function.vector @ mu) <= 1e-12
+    for row in toy_system.function_matrix()[1:]:
+        assert abs(row @ mu) <= 1e-12
 
 
 def test_atom_norm_equals_weight_sum(toy_system):
     part = toy_system.partition
-    for a in toy_system.atoms:
+    for a, f in zip(toy_system.atoms, functions(toy_system)[1:]):
         pm = part.blocks[a.parent].measure
         expect = (part.blocks[a.block1].measure + part.blocks[a.block2].measure) / pm
-        assert abs(ah.inner_product(a.function, a.function) - float(expect)) <= 1e-12
+        assert abs(ah.inner_product(f, f) - float(expect)) <= 1e-12
 
 
 # ---------------------------------------------------------------- gram / bounds
@@ -363,7 +365,7 @@ def test_frame_bounds_tight_on_leaf_span():
     p = ah.make_dyadic_partition(2, 2)
     sys_ = ah.build_system(p)
     space = [indicator(p, [b]) for b in p.leaf_ids]
-    lo, hi = ah.frame_bounds(list(sys_.functions()), space)
+    lo, hi = ah.frame_bounds(functions(sys_), space)
     assert abs(lo - 1.0) <= 1e-9 and abs(hi - 1.0) <= 1e-9
 
 
@@ -371,7 +373,7 @@ def test_frame_bounds_drop_below_one_without_an_atom(interval_system):
     part = interval_system.partition
     space = [indicator(part, [b]) for b in part.leaf_ids]
     crippled = interval_system.subset(interval_system.atoms[1:])  # drop the unit-norm one
-    lo, _ = ah.frame_bounds(list(crippled.functions()), space)
+    lo, _ = ah.frame_bounds(functions(crippled), space)
     assert lo < 1.0 - 1e-6
 
 
@@ -379,7 +381,7 @@ def test_frame_bounds_degenerate_span(interval_system):
     part = interval_system.partition
     f = indicator(part, part.leaf_ids[:1])
     with pytest.raises(DegenerateSpan):
-        ah.frame_bounds([interval_system.scaling], [f, f])
+        ah.frame_bounds(functions(interval_system)[:1], [f, f])
 
 
 # ---------------------------------------------------------------- serialization

@@ -1,19 +1,25 @@
 """Golden CLI artifacts: the sha256 of every exact file the pipeline writes.
 
 `cli.main` runs in process on two seeded integer-weighted digraphs through
-symmetrize, chain (x and y), build --prune and verify on each system. The
-pinned files are gx/gy, both chains, the partition, the vertex block map and
-the three system files. Their contents are integers and exact rationals, so
-their bytes do not depend on the platform or the BLAS. `report.json` and the
-coefficient and signal CSVs are left out: their last digits do.
+symmetrize, chain (x and y), build --prune, analyze and synthesize on the
+restricted system, and verify on each system. The pinned files are gx/gy,
+both chains, the partition, the vertex block map and the three system files.
+Their contents are integers and exact rationals, so their bytes do not
+depend on the platform or the BLAS. `report.json` and the coefficient and
+signal CSVs are left out, since their last digits do; of those, only the
+coefficient CSV's four integer key columns are pinned, the synthesized
+signal must equal the analyzed one within 1e-12, and each verify line is
+pinned by its PASS/FAIL word and check name, without the digits.
 
 A change that alters one of these artifacts on purpose (a new partition or
 chain format, say) updates the hash here and says in CHANGES.md which
 artifact changed and why.
 """
 
+import csv
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -27,8 +33,23 @@ ARTIFACTS = ["gx.json", "gy.json", "chain_x.json", "chain_y.json", "partition.js
              "vbm.json", "system_full.json", "system_restricted.json", "system_pruned.json"]
 
 # verify exits 1 on the pruned system: it has full rank but is not tight
-EXIT_CODES = {"symmetrize": 0, "chain_x": 0, "chain_y": 0, "build": 0,
-              "verify_full": 0, "verify_restricted": 0, "verify_pruned": 1}
+EXIT_CODES = {"symmetrize": 0, "chain_x": 0, "chain_y": 0, "build": 0, "analyze": 0,
+              "synthesize": 0, "verify_full": 0, "verify_restricted": 0, "verify_pruned": 1}
+
+CHECKS = ["refinement_orthogonality", "vanishing_moments", "atom_norms",
+          "cross_scale_orthogonality", "parseval", "reconstruction"]
+VERIFY_LINES = {
+    "verify_full": [("PASS", c) for c in CHECKS],
+    "verify_restricted": [("PASS", c) for c in CHECKS],
+    "verify_pruned": [("PASS", c) for c in CHECKS[:4]] + [("FAIL", c) for c in CHECKS[4:]],
+}
+
+# sha256 of the coefficient CSV's level,parent,l1,l2 columns (header and
+# scaling row included), one row per line; recorded at commit 0cb5090
+COEFFICIENT_KEYS = {
+    6: "65a4fb88739fcbe7bf6fb1ed81eb3ee758163e7cc016f05dc1ddc95de4d018e6",
+    16: "cde82eebb1c6e441de89ff224e891adb5bc4992290fc5d645e6fa4c18e3f145a",
+}
 
 # recorded at commit 6d0cb8f; the artifacts have not changed since
 GOLDEN = {
@@ -57,26 +78,51 @@ GOLDEN = {
 }
 
 
-def run_pipeline(d, n):
-    g = random_digraph(np.random.default_rng([n, 0, 13]), n, False)
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def run_pipeline(d, n, capsys):
+    """Exit codes, artifact hashes and the verify lines (word, check name) per step."""
+    rng = np.random.default_rng([n, 0, 13])
+    g = random_digraph(rng, n, False)
     (d / "graph.json").write_text(json.dumps(g.to_json()))
+    signal = {lab: float(x) for lab, x in zip(g.labels, rng.standard_normal(n))}
+    (d / "signal.csv").write_text("".join(f"{lab},{x!r}\n" for lab, x in signal.items()))
+    bundle = ["--partition", d / "partition.json", "--vbm", d / "vbm.json"]
+    restricted = ["--system", d / "system_restricted.json"]
     steps = {"symmetrize": ["symmetrize", d / "graph.json", "--out", d],
              "chain_x": ["chain", d / "gx.json", "--out", d / "chain_x.json"],
              "chain_y": ["chain", d / "gy.json", "--out", d / "chain_y.json"],
              "build": ["build", "--chain-x", d / "chain_x.json", "--chain-y", d / "chain_y.json",
-                       "--out", d, "--prune"]}
+                       "--out", d, "--prune"],
+             "analyze": ["analyze", d / "signal.csv", *bundle, *restricted,
+                         "--out", d / "coefficients.csv"],
+             "synthesize": ["synthesize", d / "coefficients.csv", *bundle, *restricted,
+                            "--out", d / "back.csv"]}
     for s in ("full", "restricted", "pruned"):
-        steps[f"verify_{s}"] = ["verify", "--partition", d / "partition.json",
-                                "--system", d / f"system_{s}.json", "--vbm", d / "vbm.json"]
-    codes = {name: cli.main([str(a) for a in args]) for name, args in steps.items()}
+        steps[f"verify_{s}"] = ["verify", *bundle, "--system", d / f"system_{s}.json"]
+    codes, lines = {}, {}
+    for name, args in steps.items():
+        codes[name] = cli.main([str(a) for a in args])
+        out = capsys.readouterr().out
+        if name.startswith("verify"):
+            lines[name] = re.findall(r"^(PASS|FAIL) (\w+): ", out, re.M)
     hashes = {name: hashlib.sha256((d / name).read_bytes()).hexdigest() for name in ARTIFACTS}
-    return codes, hashes
+    back = {lab: float(x) for lab, x in read_rows(d / "back.csv")}
+    assert list(back) == list(signal)
+    worst = max(abs(back[lab] - x) for lab, x in signal.items())
+    assert worst <= 1e-12 * max(abs(x) for x in signal.values()), worst
+    keys = "".join(",".join(row[:4]) + "\n" for row in read_rows(d / "coefficients.csv"))
+    hashes["coefficient keys"] = hashlib.sha256(keys.encode()).hexdigest()
+    return codes, hashes, lines
 
 
 @pytest.mark.parametrize("n", sorted(GOLDEN))
 def test_cli_artifacts_match_golden_hashes(n, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("ADAHAAR_SEED", raising=False)
-    codes, hashes = run_pipeline(tmp_path, n)
-    capsys.readouterr()
+    codes, hashes, lines = run_pipeline(tmp_path, n, capsys)
     assert codes == EXIT_CODES
-    assert hashes == GOLDEN[n]
+    assert hashes == {**GOLDEN[n], "coefficient keys": COEFFICIENT_KEYS[n]}
+    assert lines == VERIFY_LINES
