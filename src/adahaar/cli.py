@@ -231,10 +231,20 @@ def _verify_checks(partition, system, vbm, rng, n_signals=20):
     yield "reconstruction", worst_r <= 1e-10, f"max relative error {worst_r:.3e}"
 
 
+def _seed_from_env() -> int:
+    """The test-signal seed from ADAHAAR_SEED (default 0): a non-negative integer."""
+    raw = os.environ.get("ADAHAAR_SEED", "0")
+    try:
+        if int(raw) >= 0:
+            return int(raw)
+    except ValueError:
+        pass
+    raise ParseError(f"ADAHAAR_SEED must be a non-negative integer, got {raw!r}")
+
+
 def cmd_verify(args) -> int:
+    rng = np.random.default_rng(_seed_from_env())
     partition, system, vbm = _load_bundle(args)
-    seed = int(os.environ.get("ADAHAAR_SEED", "0"))
-    rng = np.random.default_rng(seed)
     failed = 0
     for name, ok, detail in _verify_checks(partition, system, vbm, rng):
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")

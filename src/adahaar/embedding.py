@@ -41,9 +41,15 @@ class IntervalEmbedding:
 def chain_to_intervals(chain: Chain) -> IntervalEmbedding:
     """Degree-proportional interval embedding of a coarse-grained chain.
 
-    Endpoints are exact rationals (float degrees convert via their binary
-    expansion, integer degrees stay integers). A cluster whose children
-    have zero total degree raises ZeroDegreeCluster.
+    Endpoints are exact rationals computed on integers: each level's float
+    degrees are integers over the level's common power-of-two denominator
+    (their exact binary expansions), and a child's right endpoint is one
+    `Fraction` a + (b - a) * (prefix sum of degrees) / (total degree) of its
+    parent's [a, b]. Children are laid out in tree order, which is the order
+    of their intervals, so block ids follow positions. `refine_interval_level`
+    validates every level. A cluster whose children have zero total degree
+    raises ZeroDegreeCluster, and so, after that check, does any node below
+    the coarsest level with zero degree, as in `Chain.validate`.
     """
     if chain.graphs[-1].n != 1:
         raise ValueError("chain must end in a single-node graph")
@@ -56,29 +62,51 @@ def chain_to_intervals(chain: Chain) -> IntervalEmbedding:
             kids[pmap[u]].append(u)
         first = [first[ks[0]] if ks else len(pmap) for ks in kids]  # empty: raises below
         kids_of.append(kids)
-    # top down: each node's interval splits among its children by degree
-    node_iv = [[(Fraction(0), Fraction(1))]]
+    # top down: each node's interval splits among its children by degree; a level is
+    # its nodes in tree order and the cut points between their intervals
+    order, cuts = [0], [Fraction(0), Fraction(1)]
+    orders, levels = [order], [list(zip(cuts, cuts[1:]))]
+    zero_degree = False
     for j, kids in enumerate(reversed(kids_of), start=1):
-        degs = [Fraction(float(d)) for d in chain.graphs[-1 - j].degrees()]
-        intervals = [None] * len(degs)
-        for k, ((a, b), ks) in enumerate(zip(node_iv[-1], kids)):
-            total = sum((degs[u] for u in ks), Fraction(0))
-            if total == 0:
-                raise ZeroDegreeCluster(
-                    f"children of node {k} at level {j - 1} have zero total degree")
-            cur = a
-            for u in ks:
-                width = (b - a) * degs[u] / total
-                intervals[u] = (cur, cur + width)
-                cur += width
-        node_iv.append(intervals)
-    levels = [sorted(level) for level in node_iv]
-    partition = refine_interval_level(levels)  # ids run through each level in sorted order
+        degs = _integer_degrees(chain.graphs[-1 - j].degrees())
+        totals = [sum(degs[u] for u in ks) for ks in kids]
+        if 0 in totals:
+            raise ZeroDegreeCluster(f"children of node {totals.index(0)} at level {j - 1} "
+                                    f"have zero total degree")
+        zero_degree = zero_degree or 0 in degs
+        next_order, next_cuts = [], [cuts[0]]
+        for k, a, b in zip(order, cuts, cuts[1:]):
+            # a + (b - a) * s / total over the common denominator of a, b and total
+            ks, total = kids[k], totals[k]
+            base = a.numerator * b.denominator * total
+            scale = b.numerator * a.denominator - a.numerator * b.denominator
+            den = a.denominator * b.denominator * total
+            s = 0
+            for u in ks[:-1]:
+                s += degs[u]
+                next_cuts.append(Fraction(base + scale * s, den))
+            next_cuts.append(b)
+            next_order += ks
+        order, cuts = next_order, next_cuts
+        orders.append(order)
+        levels.append(list(zip(cuts, cuts[1:])))
+    if zero_degree:
+        chain.check_degrees()  # raises: some node got an empty interval
+    partition = refine_interval_level(levels)  # ids run through each level in tree order
     node_blocks = []
-    for ivs, ids, level in zip(levels, partition.levels, node_iv):
-        block_of = dict(zip(ivs, ids))
-        node_blocks.append(tuple(block_of[iv] for iv in level))
+    for nodes, ids in zip(orders, partition.levels):
+        block_of = [0] * len(nodes)
+        for k, b in zip(nodes, ids):
+            block_of[k] = b
+        node_blocks.append(tuple(block_of))
     return IntervalEmbedding(partition, tuple(node_blocks))
+
+
+def _integer_degrees(degrees) -> list:
+    """Non-negative float degrees as integers over their common power-of-two denominator."""
+    ratios = [d.as_integer_ratio() for d in degrees.tolist()]
+    den = max(q for _, q in ratios)
+    return [p * (den // q) for p, q in ratios]
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,7 @@ from collections import deque
 import numpy as np
 
 from .errors import (BadClustering, ClustererStalled, ParseError,
-                     ValidationError, strict_int)
+                     ValidationError, ZeroDegreeCluster, strict_int)
 
 WEIGHT_TOL = 1e-12
 # relative width of the score band whose pairs default_cluster re-scores exactly
@@ -233,8 +233,20 @@ class Chain:
             sets = [frozenset(s) for s in merged]
         return sets
 
+    def check_degrees(self) -> None:
+        """Raise ZeroDegreeCluster naming the first node below the coarsest level, finest
+        level first, whose degree is not positive: its interval would be empty."""
+        for i, g in enumerate(self.graphs[:-1]):
+            deg = g.degrees()
+            bad = np.flatnonzero(~(deg > 0))
+            if bad.size:
+                raise ZeroDegreeCluster(f"node {g.labels[bad[0]]!r} at chain level {i} "
+                                        f"(0 = finest) has zero degree, so its interval "
+                                        f"would be empty")
+
     def validate(self) -> None:
-        """Raise ValidationError unless every level coarse-grains the previous.
+        """Raise ValidationError unless every level coarse-grains the previous and
+        every node below the coarsest level has positive degree.
 
         Weight comparisons are exact when all weights are integers, else
         within 1e-12.
@@ -258,6 +270,7 @@ class Chain:
             if not exact and not np.allclose(expected, coarse.weights,
                                              rtol=0.0, atol=WEIGHT_TOL):
                 raise ValidationError(f"level {i + 1} weights disagree with coarse-graining")
+        self.check_degrees()
 
     def to_json(self) -> dict:
         return {"graphs": [g.to_json() for g in self.graphs],

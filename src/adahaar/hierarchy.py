@@ -1,8 +1,14 @@
 """Hierarchical partitions of the unit box [0,1]^d with exact rational geometry.
 
-Endpoints and measures are `fractions.Fraction`, so tiling and nesting
+Endpoints and side lengths are `fractions.Fraction`, so tiling and nesting
 identities hold bit-exactly and the validation layer never needs a float
-tolerance. All objects are immutable after construction.
+tolerance. The floats the transforms read (`leaf_measures` and the cascade's
+square roots of split weights) come from integers: a block's measure is the
+pair (product of its sides' length numerators, product of their
+denominators), and a float is one correctly rounded integer division, bit
+for bit `float` of the exact `Fraction`. Exact measures and split weights
+are built as `Fraction`s only for validation, `split_weights` and JSON.
+All objects are immutable after construction.
 """
 
 from __future__ import annotations
@@ -62,12 +68,19 @@ class Block:
     id: int
     sides: tuple
 
+    def measure_ratio(self) -> tuple:
+        """The measure as (numerator, denominator), the products of the sides' exact
+        length numerators and denominators; not reduced."""
+        num = den = 1
+        for s in self.sides:
+            n, d = s.length.as_integer_ratio()
+            num *= n
+            den *= d
+        return num, den
+
     @cached_property
     def measure(self) -> Fraction:
-        m = ONE
-        for s in self.sides:
-            m *= s.length
-        return m
+        return Fraction(*self.measure_ratio())
 
     def contains(self, other: "Block") -> bool:
         return all(a.contains(b) for a, b in zip(self.sides, other.sides))
@@ -111,7 +124,8 @@ class HierarchicalPartition:
             for b in level:
                 self.level_of[b] = j
         self.leaf_index = {b: i for i, b in enumerate(self.leaf_ids)}
-        self.leaf_measures = np.array([float(self.blocks[b].measure) for b in self.leaf_ids])
+        self.leaf_measures = np.array([num / den for num, den in
+                                       (self.blocks[b].measure_ratio() for b in self.leaf_ids)])
         self.leaf_measures.setflags(write=False)
 
     @property
@@ -126,10 +140,17 @@ class HierarchicalPartition:
     def leaf_ids(self) -> tuple:
         return self.levels[-1]
 
+    def _shares(self, parent) -> list:
+        """The shares |child| / |parent| of a parent's children, in child order, as
+        unreduced (numerator, denominator) pairs of integers."""
+        pn, pd = self.blocks[parent].measure_ratio()
+        return [(cn * pd, cd * pn) for cn, cd in
+                (self.blocks[c].measure_ratio() for c in self.children[parent])]
+
     @cached_property
     def split_weights(self) -> dict:
         """Parent id -> exact shares |child| / |parent|, in child order (computed once)."""
-        return {p: tuple(self.blocks[c].measure / self.blocks[p].measure for c in kids)
+        return {p: tuple(Fraction(num, den) for num, den in self._shares(p))
                 for p, kids in self.children.items() if kids}
 
     @cached_property
@@ -137,13 +158,18 @@ class HierarchicalPartition:
         """The tree as arrays for the framelet transforms: (block id -> position, each level's
         (start, stop) positions, parent positions with -1 at the root, float sqrt(split
         weight) with 1 at the root). Positions run level by level in `levels` order, so
-        the leaves come last, in `leaf_ids` order."""
+        the leaves come last, in `leaf_ids` order. The split weights are taken from the
+        integer shares, bit for bit `float` of `split_weights`, which stays unbuilt."""
         pos = {b: i for i, b in enumerate(b for level in self.levels for b in level)}
         stops = np.cumsum([len(level) for level in self.levels]).tolist()
         parent = np.array([pos.get(self.parent.get(b), -1) for b in pos])
+        kid_pos, shares = [], []
+        for p, kids in self.children.items():
+            if kids:
+                kid_pos += [pos[c] for c in kids]
+                shares += [num / den for num, den in self._shares(p)]
         sqrt_b = np.ones(len(pos))
-        for p, b in self.split_weights.items():
-            sqrt_b[[pos[c] for c in self.children[p]]] = np.sqrt([float(x) for x in b])
+        sqrt_b[kid_pos] = np.sqrt(shares)
         parent.flags.writeable = sqrt_b.flags.writeable = False
         return pos, tuple(zip([0] + stops, stops)), parent, sqrt_b
 

@@ -108,13 +108,14 @@ def test_random_digraph_systems_match_exact_rows(n, float_weights):
 
 
 def test_split_weights_wait_for_the_first_height(chain_x):
-    """Building or loading atoms does no measure arithmetic; the first transform reads
-    the split weights, through the atoms' cascade weights."""
+    """Building or loading atoms does no measure arithmetic. The first transform
+    builds the cascade, whose weights come from integer shares, and still no exact
+    split weights: those wait for a caller that reads them."""
     part = ah.chain_to_intervals(chain_x).partition
     system = ah.build_system(part)
     loaded = ah.FrameletSystem.from_json(part, system.to_json())
     assert [a.key for a in loaded.atoms] == [a.key for a in system.atoms]
-    assert "split_weights" not in vars(part)
+    assert not {"split_weights", "cascade"} & set(vars(part))
     _, _, w1, w2 = system.pairs
-    assert "split_weights" in vars(part)
+    assert "cascade" in vars(part) and "split_weights" not in vars(part)
     assert np.all(w1 > 0) and w2[0] == 0 and np.all(w2[1:] > 0)

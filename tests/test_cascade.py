@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 import adahaar as ah
 
 from conftest import random_digraph
-from oracles import dense_matrix
+from oracles import dense_matrix, exact_measure
 from test_pipeline_properties import digraphs
 
 TOL = 1e-14
@@ -123,6 +123,43 @@ def test_building_computes_no_split_weights_and_no_cascade(toy_digraph, chain_x)
     for s in (system, loaded, restricted):
         assert "pairs" not in vars(s)
     ah.analyze(restricted, ah.signal_to_function(np.ones(len(vbm.labels)), vbm))
-    assert {"split_weights", "cascade"} <= set(vars(square))
+    assert "cascade" in vars(square) and "split_weights" not in vars(square)
     assert "pairs" in vars(restricted)
     assert square.cascade is square.cascade and restricted.pairs is restricted.pairs
+
+
+def exact_floats(part):
+    """leaf_measures and cascade weights rounded from the exact Block.measure and
+    split_weights, which must equal the oracle's products of side lengths."""
+    pos, _, _, _ = part.cascade
+    for blk in part.blocks.values():
+        assert blk.measure == exact_measure(blk)
+    mu = np.array([float(part.blocks[b].measure) for b in part.leaf_ids])
+    sqrt_b = np.ones(len(pos))
+    for p, b in part.split_weights.items():
+        kids = part.children[p]
+        assert b == tuple(part.blocks[c].measure / part.blocks[p].measure for c in kids)
+        sqrt_b[[pos[c] for c in kids]] = np.sqrt([float(x) for x in b])
+    return mu, sqrt_b
+
+
+@pytest.mark.parametrize("case", ["int5", "float5", "int13", "float13", "float24", "dyadic"])
+def test_integer_floats_equal_the_rounded_exact_values(case):
+    """The floats taken from integer side lengths are bit for bit float() of the exact
+    Fractions, on seeded digraph embeddings, on the dyadic cube make_dyadic_partition(3, 2)
+    and after a JSON round trip, where blocks stop sharing Interval objects."""
+    if case == "dyadic":
+        part = ah.make_dyadic_partition(3, 2)
+    else:
+        float_weights, n = case.startswith("float"), int(case.strip("intfloat"))
+        g = random_digraph(np.random.default_rng([n, int(float_weights), 41]), n, float_weights)
+        part = embed(g)[0]
+    loaded = ah.HierarchicalPartition.from_json(part.to_json())
+    shared, distinct = ([id(s) for blk in p.blocks.values() for s in blk.sides]
+                        for p in (part, loaded))
+    assert len(set(shared)) < len(shared) and len(set(distinct)) == len(distinct)
+    for p in (part, loaded):
+        mu, sqrt_b = exact_floats(p)
+        assert p.leaf_measures.tobytes() == mu.tobytes()
+        assert p.cascade[3].tobytes() == sqrt_b.tobytes()
+    assert loaded.leaf_measures.tobytes() == part.leaf_measures.tobytes()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import adahaar as ah
+from adahaar import cli
 from adahaar.cli import _verify_checks
 from conftest import DIGRAPH_W, GX_CLUSTER_SETS, GY_CLUSTER_SETS, VERTICES, chain_from_sets
 
@@ -166,6 +167,19 @@ def test_depth_zero_build_yields_scaling_only(tmp_path):
     assert report["counts"] == {"full": 1, "restricted": 1, "pruned": 1}
 
 
+def test_zero_degree_vertex_named_at_chain_and_build_exit_3(tmp_path):
+    g = ah.Graph([[0, 1, 0], [1, 0, 0], [0, 0, 0]], ["a", "b", "c"])
+    chain = ah.Chain([g, ah.coarse_grain(g, ah.Clustering([0, 0, 0]))], [[0, 0, 0]])
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(chain.to_json()))
+    message = "node 'c' at chain level 0 (0 = finest) has zero degree"
+    r = run_cli("chain", "--explicit", path, "--out", tmp_path / "out.json")
+    assert r.returncode == 3 and message in r.stderr, r.stderr
+    assert not (tmp_path / "out.json").exists()
+    r = run_cli("build", "--chain-x", path, "--chain-y", path, "--out", tmp_path / "build")
+    assert r.returncode == 3 and message in r.stderr, r.stderr
+
+
 def test_stalled_clusterer_exit_3(workdir):
     out = workdir / "sym"
     run_cli("symmetrize", workdir / "digraph.json", "--out", out)
@@ -173,6 +187,31 @@ def test_stalled_clusterer_exit_3(workdir):
                 "--out", out / "stall.json")
     assert r.returncode == 3
     assert "merged nothing" in r.stderr or "clusters" in r.stderr
+
+
+@pytest.mark.parametrize("value", ["x", "-1", "1.5", ""])
+def test_bad_adahaar_seed_exit_2(workdir, value, monkeypatch, capsys):
+    out = build_only(workdir)
+    monkeypatch.setenv("ADAHAAR_SEED", value)
+    assert cli.main(["verify", *map(str, bundle_args(out, out / "vbm.json"))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ADAHAAR_SEED") and repr(value) in err, err
+
+
+def test_accepted_adahaar_seeds_keep_their_results(workdir, monkeypatch, capsys):
+    out = build_only(workdir)
+    args = ["verify", *map(str, bundle_args(out, out / "vbm.json"))]
+    results = {}
+    for value in [None, "0", "7", " 7\n", "+07", "7_0", "70"]:
+        if value is None:
+            monkeypatch.delenv("ADAHAAR_SEED", raising=False)
+        else:
+            monkeypatch.setenv("ADAHAAR_SEED", value)
+        results[value] = (cli.main(args), capsys.readouterr().out)
+    assert all(code == 0 for code, _ in results.values())
+    assert results[None] == results["0"]
+    assert results["7"] == results[" 7\n"] == results["+07"]
+    assert results["7_0"] == results["70"]
 
 
 def test_unknown_signal_vertex_exit_3(workdir):

@@ -58,6 +58,31 @@ def test_zero_degree_cluster_rejected():
         ah.chain_to_intervals(chain)
 
 
+def test_zero_degree_node_is_named_by_validate_and_embedding():
+    # a and b joined, c alone, all merged into one node
+    g = ah.Graph([[0, 1, 0], [1, 0, 0], [0, 0, 0]], ["a", "b", "c"])
+    chain = ah.Chain([g, ah.coarse_grain(g, ah.Clustering([0, 0, 0]))], [[0, 0, 0]])
+    with pytest.raises(ZeroDegreeCluster, match=r"node 'c' at chain level 0 ") as valid:
+        chain.validate()
+    with pytest.raises(ZeroDegreeCluster) as embed:
+        ah.chain_to_intervals(chain)
+    assert str(embed.value) == str(valid.value)
+
+
+def test_zero_degree_coarse_node_of_an_unvalidated_chain_is_named():
+    path = ah.Graph([[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]], list("abcd"))
+    coarse = ah.Graph([[2.0, 0.0], [0.0, 0.0]], ["ab", "cd"])  # not path's coarse-graining
+    chain = ah.Chain([path, coarse, ah.Graph([[2.0]], ["all"])], [[0, 0, 1, 1], [0, 0]])
+    with pytest.raises(ZeroDegreeCluster, match=r"node 'cd' at chain level 1 "):
+        ah.chain_to_intervals(chain)
+
+
+def test_one_zero_degree_node_is_a_valid_chain():
+    chain = ah.build_chain(ah.Graph([[0.0]], ["a"]))
+    chain.validate()
+    assert chain.depth == 0 and ah.chain_to_intervals(chain).partition.depth == 0
+
+
 def test_degree_proportional_splits_are_exact(chain_x):
     emb = ah.chain_to_intervals(chain_x)
     part = emb.partition

@@ -1,15 +1,21 @@
 """Golden CLI artifacts: the sha256 of every exact file the pipeline writes.
 
-`cli.main` runs in process on two seeded integer-weighted digraphs through
-symmetrize, chain (x and y), build --prune, analyze and synthesize on the
-restricted system, and verify on each system. The pinned files are gx/gy,
-both chains, the partition, the vertex block map and the three system files.
-Their contents are integers and exact rationals, so their bytes do not
-depend on the platform or the BLAS. `report.json` and the coefficient and
-signal CSVs are left out, since their last digits do; of those, only the
-coefficient CSV's four integer key columns are pinned, the synthesized
-signal must equal the analyzed one within 1e-12, and each verify line is
-pinned by its PASS/FAIL word and check name, without the digits.
+`cli.main` runs in process on two seeded integer-weighted digraphs and one
+seeded digraph with three-decimal float weights (whose exact geometry goes
+through binary expansions and long denominators) through symmetrize, chain
+(x and y), build --prune, analyze and synthesize on the restricted system,
+and verify on each system. The pinned files are gx/gy, both chains, the
+partition, the vertex block map and the three system files. For integer
+weights their contents are integers and exact rationals, so their bytes do
+not depend on the platform or the BLAS. The float-weighted digraph's graphs
+are float sums taken by matrix products in `symmetrize` and `coarse_grain`,
+so a BLAS that sums them in another order could change its hashes; they were
+recorded with numpy's bundled OpenBLAS (0.3.31, x86-64). `report.json` and
+the coefficient and signal CSVs are left out, since their last digits
+depend on the platform everywhere; of those, only the coefficient CSV's
+four integer key columns are pinned, the synthesized signal must equal the
+analyzed one within 1e-12, and each verify line is pinned by its PASS/FAIL
+word and check name, without the digits.
 
 A change that alters one of these artifacts on purpose (a new partition or
 chain format, say) updates the hash here and says in CHANGES.md which
@@ -77,16 +83,30 @@ GOLDEN = {
     },
 }
 
+# the n=16 digraph with three-decimal float weights; recorded at commit 9783e24
+GOLDEN_FLOAT_16 = {
+    "gx.json": "b79844b02b62ab87105e5106e3d46aec3cee90e6b11433f67537d7d7a47549fb",
+    "gy.json": "d4eda9acbb93dedc2906656ce5a75c88b941236a6b200f0f29449e77a93ae1a0",
+    "chain_x.json": "fcb495922ba753d0f4e6e1ca998e28ecb101192931693c65bae95e184110745c",
+    "chain_y.json": "cde1b4eb2773d3f0dd018086e6488930a9728e9fd4180c605b283d7be5ba43e4",
+    "partition.json": "6ef02bf5c7dbf28bfa9d45ba9b999dcd51c144e994f8c10c702c41e6d38b0629",
+    "vbm.json": "fb34fc1a76defe47b1b6a6d4ce95da8a4e586a289c7c384441a61e5fcf8ebba7",
+    "system_full.json": "c29a1164178c57eb30db3488440cf1eecb165388e0516bb3ce2cbab2ea6b47b9",
+    "system_restricted.json": "895e5b7dce5da3d3315cdda39a1c7603c8aef0b0e4aa61987198710dfb058361",
+    "system_pruned.json": "b2c6b26ee7136d82f23020ea7dac12e85f666a89aa63d51c3f96530e674d3728",
+    "coefficient keys": "f1b4e5d176e24c68b253087d5fb9d5d8193cafd1f9e855e3659b2a81c91cc40c",
+}
+
 
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
 
 
-def run_pipeline(d, n, capsys):
+def run_pipeline(d, n, capsys, float_weights=False):
     """Exit codes, artifact hashes and the verify lines (word, check name) per step."""
-    rng = np.random.default_rng([n, 0, 13])
-    g = random_digraph(rng, n, False)
+    rng = np.random.default_rng([n, int(float_weights), 13])
+    g = random_digraph(rng, n, float_weights)
     (d / "graph.json").write_text(json.dumps(g.to_json()))
     signal = {lab: float(x) for lab, x in zip(g.labels, rng.standard_normal(n))}
     (d / "signal.csv").write_text("".join(f"{lab},{x!r}\n" for lab, x in signal.items()))
@@ -125,4 +145,12 @@ def test_cli_artifacts_match_golden_hashes(n, tmp_path, capsys, monkeypatch):
     codes, hashes, lines = run_pipeline(tmp_path, n, capsys)
     assert codes == EXIT_CODES
     assert hashes == {**GOLDEN[n], "coefficient keys": COEFFICIENT_KEYS[n]}
+    assert lines == VERIFY_LINES
+
+
+def test_float_weighted_cli_artifacts_match_golden_hashes(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("ADAHAAR_SEED", raising=False)
+    codes, hashes, lines = run_pipeline(tmp_path, 16, capsys, float_weights=True)
+    assert codes == EXIT_CODES
+    assert hashes == GOLDEN_FLOAT_16
     assert lines == VERIFY_LINES

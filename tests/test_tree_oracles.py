@@ -175,6 +175,99 @@ def test_chain_embeddings_match_member_oracle(n, float_weights):
         assert_same_embedding(chain)
 
 
+def wide_range_graph(rng, n):
+    """Connected undirected graph whose float weights span 1e-150..1e150, both ends
+    included, so one level's degrees share a denominator of about 2^550."""
+    adj = rng.random((n, n)) < 0.3
+    path = rng.permutation(n)
+    adj[path[:-1], path[1:]] = True
+    W = np.triu(np.where(adj | adj.T, 10.0 ** rng.uniform(-150, 150, (n, n)), 0.0), 1)
+    W += W.T
+    for u, v, w in [(path[0], path[1], 1e-150), (path[1], path[2], 1e150)]:
+        W[u, v] = W[v, u] = w
+    return ah.Graph(W, [f"v{k}" for k in range(n)])
+
+
+@pytest.mark.parametrize("n", [5, 12, 30])
+def test_wide_range_float_weights_match_member_oracle(n):
+    rng = np.random.default_rng([n, 150])
+    chain = ah.build_chain(wide_range_graph(rng, n))
+    chain.validate()
+    assert_same_embedding(chain)
+    assert_same_embedding(ah.pad_chain(chain, chain.depth + 1))
+    part = ah.chain_to_intervals(chain).partition
+    assert max(blk.sides[0].length.denominator.bit_length()
+               for blk in part.blocks.values()) > 500
+
+
+def chain_of(g, assignments):
+    """The unvalidated chain of `g` coarse-grained by each assignment in turn."""
+    graphs = [g]
+    for assign in assignments:
+        graphs.append(ah.coarse_grain(graphs[-1], ah.Clustering(assign)))
+    return Chain(graphs, assignments)
+
+
+def path_with_isolated(weights, isolated):
+    """A weighted path followed by `isolated` vertices with no edges."""
+    n = len(weights) + 1 + isolated
+    W = np.zeros((n, n))
+    for k, w in enumerate(weights):
+        W[k, k + 1] = W[k + 1, k] = w
+    return ah.Graph(W)
+
+
+def pairing_chain(rng, m, isolated):
+    """A random path on m vertices and `isolated` vertices without edges, merged
+    pairwise at random, each group on its own, until both groups are one node; then
+    the two merge. The isolated group is a cluster with zero total degree."""
+    g = path_with_isolated(rng.uniform(0.1, 1.0, m - 1).round(3).tolist(), isolated)
+    groups = [list(range(m)), list(range(m, m + isolated))]
+    assignments = []
+    while max(len(grp) for grp in groups) > 1:
+        assign, new_groups, nxt = [0] * g.n, [], 0
+        for grp in groups:
+            perm = rng.permutation(grp).tolist()
+            new = []
+            for k in range(0, len(perm), 2):
+                for u in perm[k:k + 2]:
+                    assign[u] = nxt
+                new.append(nxt)
+                nxt += 1
+            new_groups.append(new)
+        assignments.append(assign[:sum(len(grp) for grp in groups)])  # group after group
+        groups = new_groups
+    assignments.append([0, 0])
+    return chain_of(g, assignments)
+
+
+def zero_total_chains():
+    yield "all-zero-pair", chain_of(ah.Graph(np.zeros((2, 2))), [[0, 0]])
+    # a zero-degree node (2 at level 1) in a positive cluster, then a zero-total cluster
+    yield "zero-node-then-zero-cluster", chain_of(
+        path_with_isolated([1.0, 2.0, 1.0], 2), [[0, 0, 1, 1, 2, 2], [0, 0, 0]])
+    # a zero-degree vertex beside a zero-total cluster on the same level
+    yield "zero-vertex-beside-zero-cluster", chain_of(
+        path_with_isolated([1.0], 3), [[0, 1, 0, 2, 2], [0, 0, 0]])
+    for seed in range(4):
+        rng = np.random.default_rng([seed, 151])
+        yield f"pairing-{seed}", pairing_chain(rng, int(rng.integers(2, 9)),
+                                               int(rng.integers(1, 5)))
+
+
+ZERO_TOTAL_CHAINS = dict(zero_total_chains())
+
+
+@pytest.mark.parametrize("chain", ZERO_TOTAL_CHAINS.values(), ids=ZERO_TOTAL_CHAINS)
+def test_zero_total_clusters_raise_the_oracle_error(chain):
+    with pytest.raises(ZeroDegreeCluster) as got:
+        ah.chain_to_intervals(chain)
+    with pytest.raises(ZeroDegreeCluster) as expect:
+        chain_to_intervals_by_members(chain)
+    assert str(got.value) == str(expect.value)
+    assert "zero total degree" in str(got.value)
+
+
 def _shift_endpoint(draw, p, blocks, children):
     bid = draw(st.sampled_from(sorted(set(p.blocks) - {p.root})))
     k = draw(st.integers(0, p.dimension - 1))
