@@ -25,8 +25,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import (BadPair, BadWeights, DegenerateSpan, IndexMismatch,
-                     ParseError, PartitionMismatch, ValidationError, strict_int)
+from .errors import (BadPair, BadWeights, IndexMismatch, ParseError,
+                     PartitionMismatch, ValidationError, strict_int)
 from .hierarchy import HierarchicalPartition
 
 RANK_TOL = 1e-10
@@ -195,26 +195,33 @@ class FrameletSystem:
     def subset(self, atoms) -> "FrameletSystem":
         return FrameletSystem(self.partition, self.depth, atoms)
 
-    def function_matrix(self) -> np.ndarray:
-        """Row per function (scaling first), column per leaf: the synthesis of each unit vector,
-        one atom level at a time from its two entries down to the leaves. Not cached."""
+    def moments(self) -> tuple:
+        """(integral, squared norm, cross-scale value) of every function, scaling first, from
+        the cascade in O(blocks). The cross-scale value of an atom is the largest |inner
+        product| with a function of a coarser level (0 for the scaling function).
+
+        With N[B] the squared norm of the synthesis of block B's unit vector (1 at the
+        leaves, sum of s_c^2 N[c] over B's children, s = sqrt(b)) and M[B] the largest
+        |value| a function of a level above B's takes at B, an atom with blocks B1, B2
+        under P has squared norm w1^2 N[B1] + w2^2 N[B2] and cross-scale value
+        M[P] |w1 s_B1 N[B1] - w2 s_B2 N[B2]|: sibling syntheses have disjoint supports.
+        """
         _, bounds, parent, sqrt_b = self.partition.cascade
         pos1, pos2, w1, w2 = self.pairs
-        level = np.array([-1] + [a.level for a in self.atoms])  # -1: the scaling function
-        F = np.empty((len(self), len(self.partition.leaf_ids)))
-        for j in range(-1, self.depth):
-            rows = np.flatnonzero(level == j)
-            s, e = bounds[j + 1]  # the level of the rows' blocks
-            D = np.zeros((len(rows), e - s))
-            D[np.arange(len(rows)), pos1[rows] - s] = w1[rows]
-            D[np.arange(len(rows)), pos2[rows] - s] -= w2[rows]
-            for s2, e2 in bounds[j + 2:]:
-                D = D[:, parent[s2:e2] - s]
-                D *= sqrt_b[s2:e2]
-                s = s2
-            D /= np.sqrt(self.partition.leaf_measures)
-            F[rows] = D
-        return F
+        integrals = self.analysis(np.ones((len(self.partition.leaf_ids), 1)))[:, 0]
+        N = np.ones(len(parent))
+        for (s, e), (ps, pe) in zip(bounds[:0:-1], bounds[-2::-1]):
+            N[ps:pe] = np.bincount(parent[s:e] - ps, sqrt_b[s:e] ** 2 * N[s:e], pe - ps)
+        M = np.zeros(len(parent))
+        np.maximum.at(M, pos1, np.abs(w1))
+        np.maximum.at(M, pos2, np.abs(w2))
+        for s, e in bounds[1:]:
+            M[s:e] = np.maximum(M[s:e], sqrt_b[s:e] * M[parent[s:e]])
+        norms = w1 ** 2 * N[pos1] + w2 ** 2 * N[pos2]
+        cross = np.abs(w1 * sqrt_b[pos1] * N[pos1] - w2 * sqrt_b[pos2] * N[pos2])
+        cross[1:] *= M[parent[pos1[1:]]]
+        cross[0] = 0.0  # the scaling function has no coarser partner
+        return integrals, norms, cross
 
     def to_json(self) -> dict:
         return {"depth": self.depth,
@@ -291,39 +298,6 @@ def synthesize(system: FrameletSystem, cv: CoefficientVector) -> PwcFunction:
         raise IndexMismatch("coefficients indexed by a different system")
     vec = system.synthesis(np.concatenate(([cv.c0], cv.coefficients))[:, None])[:, 0]
     return PwcFunction(system.partition, vec)
-
-
-def gram_matrix(system: FrameletSystem) -> np.ndarray:
-    """Pairwise inner products of all system functions (scaling first)."""
-    F = system.function_matrix()
-    return (F * system.partition.leaf_measures) @ F.T
-
-
-def frame_bounds(functions, space) -> tuple:
-    """Extreme eigenvalues of the frame operator restricted to span(space).
-
-    `functions` and `space` are PwcFunctions on one partition. The span
-    basis is whitened through its Gram matrix first; a numerically rank
-    deficient basis raises DegenerateSpan. Both bounds equal 1 exactly when
-    the functions form a tight frame for the span.
-    """
-    if not functions or not space:
-        raise ValueError("need non-empty function and span lists")
-    part = space[0].partition
-    for g in list(functions) + list(space):
-        if g.partition != part:
-            raise PartitionMismatch("all functions must share one partition")
-    mu = part.leaf_measures
-    S = np.vstack([g.vector for g in space])
-    F = np.vstack([f.vector for f in functions])
-    G = (S * mu) @ S.T
-    w, U = np.linalg.eigh(G)
-    if w[-1] <= 0 or w[0] < RANK_TOL * w[-1]:
-        raise DegenerateSpan("span basis is numerically rank deficient")
-    onb = (U / np.sqrt(w)).T @ S          # rows: orthonormal basis of the span
-    T = (F * mu) @ onb.T                  # projections of each function
-    ev = np.linalg.eigvalsh(T.T @ T)
-    return float(ev[0]), float(ev[-1])
 
 
 SCALING_KEY = (-1, 0, 0, 0)  # the coefficient CSV's row for the scaling function

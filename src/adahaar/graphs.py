@@ -83,8 +83,13 @@ class Graph:
     @classmethod
     def from_json(cls, obj) -> "Graph":
         try:
+            if not isinstance(obj["labels"], list):
+                raise ParseError(f"graph JSON: labels must be a list, got {obj['labels']!r}")
+            if not isinstance(obj["directed"], bool):
+                raise ParseError(f"graph JSON: directed must be true or false, "
+                                 f"got {obj['directed']!r}")
             labels = [str(x) for x in obj["labels"]]
-            directed = bool(obj["directed"])
+            directed = obj["directed"]
             n = len(labels)
             W = np.zeros((n, n))
             if "matrix" in obj:
@@ -248,8 +253,9 @@ class Chain:
         """Raise ValidationError unless every level coarse-grains the previous and
         every node below the coarsest level has positive degree.
 
-        Weight comparisons are exact when all weights are integers, else
-        within 1e-12.
+        Weight comparisons are exact when all weights are integers whose total is below
+        2**53, so every sum is exact in floating point; otherwise each weight must agree
+        within WEIGHT_TOL relative.
         """
         if self.graphs[-1].n != 1:
             raise ValidationError("coarsest graph must have exactly one node")
@@ -264,11 +270,10 @@ class Chain:
             M = np.zeros((fine.n, coarse.n))
             M[np.arange(fine.n), pmap] = 1.0
             expected = M.T @ fine.weights @ M
-            exact = (fine.weights == np.round(fine.weights)).all()
-            if exact and not np.array_equal(expected, coarse.weights):
-                raise ValidationError(f"level {i + 1} weights disagree with coarse-graining")
-            if not exact and not np.allclose(expected, coarse.weights,
-                                             rtol=0.0, atol=WEIGHT_TOL):
+            exact = ((fine.weights == np.round(fine.weights)).all()
+                     and fine.weights.sum() < 2 ** 53)
+            if not (np.array_equal(expected, coarse.weights) if exact else
+                    np.allclose(expected, coarse.weights, rtol=WEIGHT_TOL, atol=0.0)):
                 raise ValidationError(f"level {i + 1} weights disagree with coarse-graining")
         self.check_degrees()
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import adahaar as ah
+from oracles import function_matrix
 
 VERTICES = list("abcdef")
 
@@ -89,7 +90,7 @@ def indicator(part, leaves):
 
 def functions(system):
     """The system's functions, scaling first, as the rows of its function matrix."""
-    return [ah.PwcFunction(system.partition, row) for row in system.function_matrix()]
+    return [ah.PwcFunction(system.partition, row) for row in function_matrix(system)]
 
 
 def random_digraph(rng, n, float_weights):

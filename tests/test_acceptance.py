@@ -15,7 +15,7 @@ import adahaar as ah
 
 from conftest import (GX_LEAVES, GY_LEAVES, VERTICES, chain_from_sets, functions,
                       random_interval_levels)
-from oracles import leaves_under
+from oracles import function_matrix, gram_matrix, leaves_under
 from test_cli import run_cli, run_pipeline
 
 
@@ -63,7 +63,7 @@ def test_criterion_2_interval_system_golden(chain_x):
     size_ok = len(system) == 7
 
     a0 = system.atoms[0]
-    rows = system.function_matrix()[1:]
+    rows = function_matrix(system)[1:]
     first_leaf = leaves_under(part, a0.block1)[0]
     last_leaf = leaves_under(part, a0.block2)[0]
     atom0_ok = (abs(rows[0][part.leaf_index[first_leaf]] - math.sqrt(3)) <= 1e-12
@@ -168,7 +168,7 @@ def test_criterion_5_orthonormal_for_binary_splits():
         depth = int(rng.integers(1, 5))
         p = ah.refine_interval_level(random_interval_levels(rng, depth, max_children=2))
         system = ah.build_system(p)
-        G = ah.gram_matrix(system)
+        G = gram_matrix(system)
         worst = max(worst, float(np.abs(G - np.eye(len(system))).max()))
     report("criterion 5 (binary splits give an orthonormal basis, 50 draws)",
            worst <= 1e-12, f"max Gram deviation {worst:.2e}")
@@ -181,14 +181,14 @@ def test_criterion_6_structural_invariants(toy_system, interval_system):
                    ah.build_system(ah.make_dyadic_partition(2, 2))):
         part = system.partition
         mu = np.array([float(part.blocks[b].measure) for b in part.leaf_ids])
-        for a, row in zip(system.atoms, system.function_matrix()[1:]):
+        for a, row in zip(system.atoms, function_matrix(system)[1:]):
             worst_int = max(worst_int, abs(float(row @ mu)))
             expected = set(leaves_under(part, a.block1)) | set(leaves_under(part, a.block2))
             got = {part.leaf_ids[i] for i in np.flatnonzero(row != 0.0)}
             siblings = (part.parent[a.block1] == a.parent == part.parent[a.block2]
                         and a.block1 != a.block2)
             support_ok = support_ok and got == expected and siblings
-        G = ah.gram_matrix(system)
+        G = gram_matrix(system)
         levels = [-1] + [a.level for a in system.atoms]
         for i in range(len(levels)):
             for j in range(i + 1, len(levels)):

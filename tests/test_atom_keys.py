@@ -17,12 +17,13 @@ import pytest
 
 import adahaar as ah
 from conftest import random_digraph
-from oracles import atom_vector, dense_matrix, exact_measure, leaves_under, scaling_vector
+from oracles import (atom_vector, dense_matrix, exact_measure, function_matrix, leaves_under,
+                     scaling_vector)
 
 
 def check_system(system):
     part = system.partition
-    Fm, rows = system.function_matrix(), dense_matrix(system)
+    Fm, rows = function_matrix(system), dense_matrix(system)
     assert np.all(np.abs(Fm - rows).max(axis=1) <= 1e-14 * np.abs(rows).max(axis=1))
     for a in system.atoms:
         kids = part.children[a.parent]

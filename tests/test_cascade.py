@@ -1,11 +1,12 @@
 """The refinement cascade against the dense oracle.
 
-`analyze`, `synthesize`, `vertex_span_bounds` and `function_matrix` run on
-the partition tree and never build an atoms x leaves array; here each is held
-to the dense rows of `oracles.dense_matrix` within 1e-14 relative to the
-norm, on the toy fixtures, on seeded digraphs with integer and float weights
-and on random digraphs from the pipeline property test, for the full,
-restricted and pruned systems.
+`analyze`, `synthesize`, `vertex_span_bounds` and `FrameletSystem.moments`
+run on the partition tree and never build an atoms x leaves array; here each
+is held to the dense rows of `oracles.dense_matrix`, as is the synthesis of
+every unit coefficient vector, on the toy fixtures, on seeded digraphs with
+integer and float weights and on random digraphs from the pipeline property
+test, for the full, restricted and pruned systems. Transforms agree within
+1e-14 relative to the norm, moments within 1e-14 absolute.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 import adahaar as ah
 
 from conftest import random_digraph
-from oracles import dense_matrix, exact_measure
+from oracles import dense_matrix, dense_moments, exact_measure, function_matrix
 from test_pipeline_properties import digraphs
 
 TOL = 1e-14
@@ -50,13 +51,19 @@ def oracle_bounds(D, part, vbm):
     return ev[0], ev[-1], int((ev > ah.framelets.RANK_TOL * max(ev[-1], 1e-300)).sum())
 
 
+def check_moments(system, D):
+    """Integrals, squared norms and largest cross-level |inner product| of every function."""
+    for got, want in zip(system.moments(), dense_moments(system, D)):
+        assert got.shape == want.shape == (len(system),)
+        assert np.abs(got - want).max() <= TOL
+
+
 def check_cascade(system, vbm, rng, signals=4):
     part = system.partition
     mu = part.leaf_measures
     D = dense_matrix(system)
-    F = system.function_matrix()
-    assert_close(F, D)
-    assert F is not system.function_matrix()  # not cached
+    assert_close(function_matrix(system), D)  # the synthesis of every unit vector
+    check_moments(system, D)
     leaf_signals = rng.standard_normal((signals, len(part.leaf_ids)))
     vertex_signals = [ah.signal_to_function(rng.standard_normal(len(vbm.labels)), vbm).vector
                       for _ in range(signals)]
@@ -101,6 +108,13 @@ def test_a_truncated_system_matches_the_dense_oracle(toy_embedding):
     rng = np.random.default_rng(31)
     for depth in range(partition.depth):
         check_cascade(ah.build_system(partition, depth), vbm, rng)
+
+
+def test_dyadic_cube_moments_match_the_dense_oracle():
+    part = ah.make_dyadic_partition(3, 2)
+    for depth in range(part.depth + 1):
+        system = ah.build_system(part, depth)
+        check_moments(system, dense_matrix(system))
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])

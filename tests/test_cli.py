@@ -1,8 +1,11 @@
+import copy
 import csv
+import itertools
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,10 @@ import pytest
 import adahaar as ah
 from adahaar import cli
 from adahaar.cli import _verify_checks
-from conftest import DIGRAPH_W, GX_CLUSTER_SETS, GY_CLUSTER_SETS, VERTICES, chain_from_sets
+from conftest import (DIGRAPH_W, GX_CLUSTER_SETS, GY_CLUSTER_SETS, VERTICES, chain_from_sets,
+                      random_digraph, random_interval_levels)
+from oracles import dense_moments, function_matrix, gram_matrix
+from test_cascade import embed
 
 
 SRC = str(Path(ah.__file__).resolve().parent.parent)
@@ -286,19 +292,126 @@ def test_duplicate_signal_label_exit_2(workdir):
     assert not (out / "coeffs.csv").exists()
 
 
+def corrupted(system, position, factor):
+    """The system on a copy of its partition whose cascade has its sqrt(b) at `position`
+    scaled by `factor`; the exact split weights stay as they are."""
+    part = copy.copy(system.partition)
+    pos, bounds, parent, sqrt_b = system.partition.cascade
+    sqrt_b = sqrt_b.copy()
+    sqrt_b[position] *= factor
+    vars(part)["cascade"] = (pos, bounds, parent, sqrt_b)
+    return ah.FrameletSystem(part, system.depth, system.atoms)
+
+
+def corruptions(system, rng, count):
+    """`count` seeded non-root positions, each scaled up by 1e-6 and down by 1e-4."""
+    blocks = len(system.partition.cascade[2])
+    positions = rng.choice(np.arange(1, blocks), count, replace=False)
+    return [corrupted(system, int(p), f) for p in positions for f in (1 + 1e-6, 1 - 1e-4)]
+
+
+CHECK_TOL = 1e-12
+
+
+def agree(got, want):
+    """Both pass, or both fail with residuals within 1e-8 relative."""
+    if want <= CHECK_TOL:
+        return got <= CHECK_TOL
+    return abs(got - want) <= 1e-8 * want
+
+
+def residuals(system, integrals, norms, cross):
+    """The residuals of verify's vanishing_moments, atom_norms and cross_scale_orthogonality,
+    from integrals, squared norms and cross-scale values."""
+    b = system.partition.split_weights
+    expect = [float(b[a.parent][a.l1 - 1] + b[a.parent][a.l2 - 1]) for a in system.atoms]
+    return {"vanishing_moments": float(np.abs(integrals[1:]).max(initial=0.0)),
+            "atom_norms": float(np.abs(norms[1:] - expect).max(initial=0.0)),
+            "cross_scale_orthogonality": float(cross.max())}
+
+
+def moment_checks(system):
+    """verify's (ok, detail) for the three checks computed from `system.moments()`."""
+    checks = itertools.islice(_verify_checks(system.partition, system, None,
+                                             np.random.default_rng(0)), 4)
+    return {name: (ok, detail) for name, ok, detail in checks
+            if name != "refinement_orthogonality"}
+
+
 def test_cross_scale_check_matches_pairwise_loop(toy_system, toy_embedding):
     _, vbm = toy_embedding
-    for system in (toy_system, ah.restrict_system(toy_system, vbm)):
-        G = ah.gram_matrix(system)
+    rng = np.random.default_rng(47)
+    systems = [toy_system, ah.restrict_system(toy_system, vbm)]
+    failed = 0
+    for system in systems + [bad for s in systems for bad in corruptions(s, rng, 3)]:
+        G = gram_matrix(system)
         levels = [-1] + [a.level for a in system.atoms]
         worst = 0.0
         for i in range(len(levels)):
             for k in range(i + 1, len(levels)):
                 if levels[i] != levels[k]:
                     worst = max(worst, abs(G[i, k]))
-        checks = {name: detail for name, _, detail in
-                  _verify_checks(system.partition, system, vbm, np.random.default_rng(0), 1)}
-        assert checks["cross_scale_orthogonality"] == f"max inner product {worst:.3e}"
+        assert agree(system.moments()[2].max(), worst)
+        ok, _ = moment_checks(system)["cross_scale_orthogonality"]
+        assert ok == (worst <= CHECK_TOL)
+        failed += not ok
+    assert failed > 0
+
+
+def test_moment_checks_fail_exactly_when_the_dense_checks_do():
+    """On cascades with one sqrt(b) off by 1e-6 or 1e-4, each check computed from the
+    moments passes or fails with the dense one, over the dyadic cube, three 1-D
+    partitions with up to 6 children and the full system of a 32-vertex digraph."""
+    rng = np.random.default_rng(53)
+    parts = [ah.make_dyadic_partition(3, 2)]
+    parts += [ah.refine_interval_level(random_interval_levels(rng, depth=3, max_children=6))
+              for _ in range(3)]
+    systems = [ah.build_system(p) for p in parts]
+    g = random_digraph(np.random.default_rng([32, 0, 53]), 32, False)
+    systems.append(ah.build_system(embed(g)[0]))
+    cases = [(s, True) for s in systems]
+    cases += [(bad, False) for s in systems
+              for bad in corruptions(s, rng, 3 if len(s) < 500 else 2)]
+    failed = set()
+    for k, (system, clean) in enumerate(cases):
+        got = residuals(system, *system.moments())
+        want = residuals(system, *dense_moments(system, function_matrix(system)))
+        for name, (ok, detail) in moment_checks(system).items():
+            assert agree(got[name], want[name]), (k, name, got[name], want[name])
+            assert ok == (want[name] <= CHECK_TOL), (k, name)
+            assert detail.endswith(f" {got[name]:.3e}")
+            assert ok or not clean
+            if not ok:
+                failed.add(name)
+    assert failed == {"vanishing_moments", "atom_norms", "cross_scale_orthogonality"}
+
+
+def test_verify_checks_build_no_dense_matrix():
+    """At n=32 the full system has about 3000 functions on 1024 leaves, so its function
+    matrix alone is about 25 MB and its Gram matrix about 80 MB."""
+    g = random_digraph(np.random.default_rng([32, 0, 59]), 32, False)
+    partition, vbm = embed(g)
+    system = ah.build_system(partition)
+    tracemalloc.start()
+    try:
+        oks = [ok for _, ok, _ in _verify_checks(partition, system, vbm,
+                                                  np.random.default_rng(0))]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(oks) and len(system) > 2500
+    assert peak < 8 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("field, value", [("directed", "false"), ("labels", "abcdef")])
+def test_graph_field_of_wrong_type_exit_2(tmp_path, toy_gx, field, value):
+    obj = toy_gx.to_json()
+    obj[field] = value
+    (tmp_path / "gx.json").write_text(json.dumps(obj))
+    r = run_cli("chain", tmp_path / "gx.json", "--out", tmp_path / "chain.json")
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert f"{field} must be" in r.stderr
+    assert not (tmp_path / "chain.json").exists()
 
 
 def test_label_with_comma_round_trips(tmp_path):

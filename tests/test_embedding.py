@@ -9,6 +9,7 @@ from adahaar import (DepthMismatch, PartitionMismatch, UnknownVertex, Validation
                      ZeroDegreeCluster)
 
 from conftest import GX_LEAVES, GY_LEAVES, VERTICES, functions, indicator
+from oracles import frame_bounds
 
 
 def interval_of(partition, block_id):
@@ -275,7 +276,7 @@ def test_vertex_span_bounds_agree_with_general_frame_bounds(toy_system, toy_embe
     space = [indicator(partition, [b]) for b in vbm.blocks]
     for system in (restricted, pruned):
         lo1, hi1, _ = ah.vertex_span_bounds(system, vbm)
-        lo2, hi2 = ah.frame_bounds(functions(system), space)
+        lo2, hi2 = frame_bounds(functions(system), space)
         assert abs(lo1 - lo2) <= 1e-9 and abs(hi1 - hi2) <= 1e-9
 
 

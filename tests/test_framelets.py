@@ -9,7 +9,8 @@ import adahaar as ah
 from adahaar import BadPair, BadWeights, DegenerateSpan, IndexMismatch, PartitionMismatch
 
 from conftest import functions, indicator, random_interval_levels
-from oracles import atom_vector, leaves_under, scaling_vector
+from oracles import (atom_vector, frame_bounds, function_matrix, gram_matrix, leaves_under,
+                     scaling_vector)
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -85,7 +86,7 @@ def test_toy_atom_values(interval_system):
     assert len(sys_) == 7
     part = sys_.partition
     atoms = sys_.atoms
-    rows = sys_.function_matrix()[1:]
+    rows = function_matrix(sys_)[1:]
     assert [a.level for a in atoms] == [0, 1, 2, 2, 2, 2]
 
     a0 = atoms[0]  # root split [0,1/4) vs [1/4,1]
@@ -111,7 +112,7 @@ def test_toy_atom_rational_oracle(interval_system):
     """
     sys_ = interval_system
     part = sys_.partition
-    for a, row in zip(sys_.atoms, sys_.function_matrix()[1:]):
+    for a, row in zip(sys_.atoms, function_matrix(sys_)[1:]):
         pm = part.blocks[a.parent].measure
         m1 = part.blocks[a.block1].measure
         m2 = part.blocks[a.block2].measure
@@ -135,7 +136,7 @@ def test_toy_second_atom_printed_coefficients(interval_system):
     assert (part.blocks[a1.block1].measure / pm) / part.blocks[a1.block2].measure == F(32, 3)
     leaf1 = leaves_under(part, a1.block1)[0]
     leaf2 = leaves_under(part, a1.block2)[0]
-    row = interval_system.function_matrix()[2]
+    row = function_matrix(interval_system)[2]
     assert abs(row[part.leaf_index[leaf1]] - 1 / math.sqrt(6)) <= 1e-12
     assert abs(row[part.leaf_index[leaf2]] + 8 / math.sqrt(6)) <= 1e-12
 
@@ -146,7 +147,7 @@ def test_generators_dyadic_square():
     atoms = ah.build_generators(p, p.root)
     assert len(atoms) == 6
     assert [(a.l1, a.l2) for a in atoms] == list(combinations(range(1, 5), 2))
-    for a, row in zip(atoms, ah.FrameletSystem(p, 1, atoms).function_matrix()[1:]):
+    for a, row in zip(atoms, function_matrix(ah.FrameletSystem(p, 1, atoms))[1:]):
         assert abs(row[p.leaf_index[a.block1]] - 1.0) <= 1e-15
         assert abs(row[p.leaf_index[a.block2]] + 1.0) <= 1e-15
 
@@ -264,7 +265,8 @@ def test_child_indicators_recoverable_from_parent_and_atoms(interval_system):
         pos = {leaf: i for i, leaf in enumerate(part.leaf_ids)}
         for leaf in leaves_under(part, parent):
             parent_indicator[pos[leaf]] = 1.0 / math.sqrt(float(pm))
-        stack = [parent_indicator] + list(ah.FrameletSystem(part, 3, atoms).function_matrix()[1:])
+        rows = function_matrix(ah.FrameletSystem(part, 3, atoms))[1:]
+        stack = [parent_indicator] + list(rows)
         for col, child in enumerate(kids):
             recon = sum(A[r, col] * stack[r] for r in range(len(stack)))
             expect = np.zeros(len(part.leaf_ids))
@@ -284,7 +286,7 @@ def test_atoms_reproduce_their_span(interval_system):
         atoms = ah.build_generators(p, parent if parent is not None else p.root)
         if not atoms:
             continue
-        vectors = ah.FrameletSystem(p, p.depth, atoms).function_matrix()[1:]
+        vectors = function_matrix(ah.FrameletSystem(p, p.depth, atoms))[1:]
         mu = np.array([float(p.blocks[b].measure) for b in p.leaf_ids])
         for _ in range(10):
             g = rng.standard_normal(len(atoms)) @ vectors
@@ -294,7 +296,7 @@ def test_atoms_reproduce_their_span(interval_system):
 
 
 def test_cross_scale_orthogonality_and_moments(toy_system):
-    G = ah.gram_matrix(toy_system)
+    G = gram_matrix(toy_system)
     levels = [-1] + [a.level for a in toy_system.atoms]
     n = len(levels)
     for i in range(n):
@@ -303,7 +305,7 @@ def test_cross_scale_orthogonality_and_moments(toy_system):
                 assert abs(G[i, j]) <= 1e-12
     mu = np.array([float(toy_system.partition.blocks[b].measure)
                    for b in toy_system.partition.leaf_ids])
-    for row in toy_system.function_matrix()[1:]:
+    for row in function_matrix(toy_system)[1:]:
         assert abs(row @ mu) <= 1e-12
 
 
@@ -322,14 +324,14 @@ def test_gram_identity_for_binary_partitions():
     for _ in range(10):
         p = ah.refine_interval_level(random_interval_levels(rng, depth=3, max_children=2))
         sys_ = ah.build_system(p)
-        G = ah.gram_matrix(sys_)
+        G = gram_matrix(sys_)
         assert np.abs(G - np.eye(len(sys_))).max() <= 1e-12
 
 
 def test_gram_toy_structure(interval_system):
     # only the ternary split's three atoms interact; their hand-computed
     # inner products are 1/4 and -+sqrt(2)/4
-    G = ah.gram_matrix(interval_system)
+    G = gram_matrix(interval_system)
     assert G.shape == (7, 7)
     expected_diag = [1, 1, 1, 1, 0.75, 0.75, 0.5]
     assert np.abs(np.diag(G) - expected_diag).max() <= 1e-12
@@ -348,7 +350,7 @@ def test_gram_dyadic_square_overlap_structure():
     # directional generators interact exactly when they share a quarter
     p = ah.make_dyadic_partition(2, 1)
     sys_ = ah.build_system(p)
-    G = ah.gram_matrix(sys_)
+    G = gram_matrix(sys_)
     pairs = list(combinations(range(1, 5), 2))
     for i, pi in enumerate(pairs):
         for j, pj in enumerate(pairs):
@@ -365,7 +367,7 @@ def test_frame_bounds_tight_on_leaf_span():
     p = ah.make_dyadic_partition(2, 2)
     sys_ = ah.build_system(p)
     space = [indicator(p, [b]) for b in p.leaf_ids]
-    lo, hi = ah.frame_bounds(functions(sys_), space)
+    lo, hi = frame_bounds(functions(sys_), space)
     assert abs(lo - 1.0) <= 1e-9 and abs(hi - 1.0) <= 1e-9
 
 
@@ -373,7 +375,7 @@ def test_frame_bounds_drop_below_one_without_an_atom(interval_system):
     part = interval_system.partition
     space = [indicator(part, [b]) for b in part.leaf_ids]
     crippled = interval_system.subset(interval_system.atoms[1:])  # drop the unit-norm one
-    lo, _ = ah.frame_bounds(functions(crippled), space)
+    lo, _ = frame_bounds(functions(crippled), space)
     assert lo < 1.0 - 1e-6
 
 
@@ -381,7 +383,7 @@ def test_frame_bounds_degenerate_span(interval_system):
     part = interval_system.partition
     f = indicator(part, part.leaf_ids[:1])
     with pytest.raises(DegenerateSpan):
-        ah.frame_bounds(functions(interval_system)[:1], [f, f])
+        frame_bounds(functions(interval_system)[:1], [f, f])
 
 
 # ---------------------------------------------------------------- serialization

@@ -7,6 +7,7 @@ import adahaar as ah
 from adahaar import BadClustering, ClustererStalled, ParseError, ValidationError
 
 from conftest import GX_W, GY_W, VERTICES, chain_from_sets
+from test_tree_oracles import renumbered, wide_range_graph
 
 
 def test_degree_row_sum(toy_gx):
@@ -315,3 +316,65 @@ def test_chain_json_rejects_non_integer_parent_index(parents):
     obj["parents"][0] = parents
     with pytest.raises(ParseError, match="chain JSON: parent index must be an integer"):
         ah.Chain.from_json(obj)
+
+
+@pytest.mark.parametrize("field, value", [("directed", "false"), ("directed", 0),
+                                          ("directed", None), ("labels", "abc"),
+                                          ("labels", {"a": 0, "b": 1, "c": 2})])
+def test_graph_json_rejects_field_of_wrong_type(field, value):
+    obj = {"labels": ["a", "b", "c"], "directed": True, "edges": [[0, 1, 1.0]]}
+    obj[field] = value
+    with pytest.raises(ParseError, match=f"graph JSON: {field} must be"):
+        ah.Graph.from_json(obj)
+
+
+def large_integer_digraph(rng, n=16):
+    """Weakly connected digraph with integer weights in 1e7..1e8. Its symmetrized
+    weights reach about 1e16, so level totals pass 2**53, where float sums round."""
+    adj = rng.random((n, n)) < 0.2
+    order = rng.permutation(n)
+    adj[order[:-1], order[1:]] = True
+    np.fill_diagonal(adj, False)
+    W = np.where(adj, rng.integers(10 ** 7, 10 ** 8, size=(n, n)), 0).astype(float)
+    return ah.Graph(W, [f"v{k}" for k in range(n)], directed=True)
+
+
+def with_weight(chain, level, i, j, w):
+    """The chain with the weight of edge (i, j) of one level set to w."""
+    graphs = list(chain.graphs)
+    W = np.array(graphs[level].weights)
+    W[i, j] = W[j, i] = w
+    graphs[level] = ah.Graph(W, graphs[level].labels)
+    return ah.Chain(graphs, chain.parents)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_chain_validate_accepts_integer_sums_beyond_2_53(seed):
+    """Integer sums above 2**53 are compared within WEIGHT_TOL relative, not exactly; a
+    coarse weight off by 1e-9 relative, or a missing one, is still caught."""
+    for g in ah.symmetrize(large_integer_digraph(np.random.default_rng([seed, 61]))):
+        chain = ah.build_chain(g)
+        assert g.weights.sum() >= 2 ** 53
+        chain.validate()
+        for level, coarse in enumerate(chain.graphs[1:], 1):
+            W = coarse.weights
+            for i, j in {np.unravel_index(np.argmax(W), W.shape),
+                         np.unravel_index(np.argmin(np.where(W > 0, W, np.inf)), W.shape)}:
+                with pytest.raises(ValidationError, match=f"level {level} weights"):
+                    with_weight(chain, level, i, j, W[i, j] * (1 + 1e-9)).validate()
+            zero = np.argwhere(W == 0)
+            if zero.size:
+                with pytest.raises(ValidationError, match=f"level {level} weights"):
+                    with_weight(chain, level, *zero[0], 1.0).validate()
+
+
+def test_chain_validate_accepts_renumbered_wide_range_chain():
+    """Weights spanning 1e-150..1e150 summed in another node order differ in the last
+    bits, which at 1e150 is far above any absolute tolerance."""
+    rng = np.random.default_rng([30, 150])
+    chain = ah.build_chain(wide_range_graph(rng, 30))
+    renumbered(chain, np.random.default_rng(67)).validate()
+    coarse = chain.graphs[1].weights
+    i, j = np.unravel_index(np.argmax(coarse), coarse.shape)
+    with pytest.raises(ValidationError, match="level 1 weights"):
+        with_weight(chain, 1, i, j, coarse[i, j] * (1 + 1e-9)).validate()
