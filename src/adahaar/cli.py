@@ -191,7 +191,7 @@ def _verify_checks(partition, system, vbm, rng, n_signals=20):
     worst = 0.0
     for j in range(system.depth):
         for parent in partition.levels[j]:
-            b = partition.split_weights[parent]
+            b = [num / den for num, den in partition._shares(parent)]
             if len(b) > 1:
                 A = refinement_matrix(b)
                 worst = max(worst, float(np.abs(A.T @ A - np.eye(len(b))).max()))
@@ -201,8 +201,13 @@ def _verify_checks(partition, system, vbm, rng, n_signals=20):
     worst = float(np.abs(integrals[1:]).max(initial=0.0))
     yield "vanishing_moments", worst <= 1e-12, f"max |integral| {worst:.3e}"
 
-    b = partition.split_weights
-    expect = [float(b[a.parent][a.l1 - 1] + b[a.parent][a.l2 - 1]) for a in system.atoms]
+    shares = {}  # parent -> its integer shares; b_l1 + b_l2 is one rounded division
+    expect = []
+    for a in system.atoms:
+        if a.parent not in shares:
+            shares[a.parent] = partition._shares(a.parent)
+        (n1, d1), (n2, d2) = shares[a.parent][a.l1 - 1], shares[a.parent][a.l2 - 1]
+        expect.append((n1 * d2 + n2 * d1) / (d1 * d2))
     worst = float(np.abs(norms[1:] - expect).max(initial=0.0))
     yield "atom_norms", worst <= 1e-12, f"max norm error {worst:.3e}"
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -117,6 +118,14 @@ class VertexBlockMap:
     labels: tuple
     blocks: tuple
 
+    @cached_property
+    def leaf_positions(self) -> np.ndarray:
+        """Read-only position in the partition's `leaf_ids` of each vertex block, in
+        `labels` order (computed once)."""
+        pos = np.array([self.partition.leaf_index[b] for b in self.blocks], dtype=np.intp)
+        pos.flags.writeable = False
+        return pos
+
     def block_of(self, label) -> int:
         try:
             return self.blocks[self.labels.index(label)]
@@ -192,7 +201,7 @@ def signal_to_function(signal, vbm: VertexBlockMap) -> PwcFunction:
             raise UnknownVertex(
                 f"signal has {len(values)} entries for {len(vbm.labels)} vertices")
     vec = np.zeros(len(vbm.partition.leaf_ids))
-    vec[[vbm.partition.leaf_index[b] for b in vbm.blocks]] = values
+    vec[vbm.leaf_positions] = values
     return PwcFunction(vbm.partition, vec)
 
 
@@ -200,8 +209,7 @@ def function_to_signal(f: PwcFunction, vbm: VertexBlockMap) -> dict:
     """Read a function back at the vertex blocks, label -> value."""
     if f.partition != vbm.partition:
         raise PartitionMismatch("function and vertex block map live on different partitions")
-    pos = f.partition.leaf_index
-    return {lab: float(f.vector[pos[b]]) for lab, b in zip(vbm.labels, vbm.blocks)}
+    return dict(zip(vbm.labels, f.vector[vbm.leaf_positions].tolist()))
 
 
 def _effective_blocks(partition, vertex_blocks) -> set:
@@ -270,9 +278,9 @@ def vertex_span_bounds(system: FrameletSystem, vbm: VertexBlockMap) -> tuple:
     M the analysis of indicator_v / sqrt(measure_v).
     """
     part = system.partition
-    cols = [part.leaf_index[b] for b in vbm.blocks]
+    cols = vbm.leaf_positions
     X = np.zeros((len(part.leaf_ids), len(cols)))
-    X[cols, range(len(cols))] = 1.0 / np.sqrt(part.leaf_measures[cols])
+    X[cols, range(len(cols))] = 1.0 / part.leaf_scale[cols]
     M = system.analysis(X)
     ev = np.linalg.eigvalsh(M.T @ M)
     rank = int((ev > RANK_TOL * max(ev[-1], 1e-300)).sum())

@@ -113,6 +113,8 @@ class FrameletAtom:
 def _sum_rows(index, rows, size) -> np.ndarray:
     """The rows of `rows` (n x k) summed by `index` into a (size x k) array."""
     k = rows.shape[1]
+    if k == 1:  # the same sums without building a flat index
+        return np.bincount(index, rows[:, 0], size)[:, None]
     flat = (index[:, None] * k + np.arange(k)).ravel()
     return np.bincount(flat, rows.ravel(), minlength=size * k).reshape(size, k)
 
@@ -169,10 +171,10 @@ class FrameletSystem:
         """Inner products of leaf values X (leaves x k, one column per signal) with every
         function, scaling first: one bottom-up pass."""
         _, bounds, parent, sqrt_b = self.partition.cascade
-        c = np.zeros((len(parent), X.shape[1]))
-        c[bounds[-1][0]:] = X * np.sqrt(self.partition.leaf_measures)[:, None]
+        c = np.empty((len(parent), X.shape[1]))
+        c[bounds[-1][0]:] = X * self.partition.leaf_scale[:, None]
         for (s, e), (ps, pe) in zip(bounds[:0:-1], bounds[-2::-1]):
-            c[ps:pe] += _sum_rows(parent[s:e] - ps, sqrt_b[s:e, None] * c[s:e], pe - ps)
+            c[ps:pe] = _sum_rows(parent[s:e] - ps, sqrt_b[s:e, None] * c[s:e], pe - ps)
         pos1, pos2, w1, w2 = self.pairs
         return w1[:, None] * c[pos1] - w2[:, None] * c[pos2]
 
@@ -181,10 +183,11 @@ class FrameletSystem:
         function, scaling first): one top-down pass, the transpose of `analysis`."""
         _, bounds, parent, sqrt_b = self.partition.cascade
         pos1, pos2, w1, w2 = self.pairs
-        d = _sum_rows(np.r_[pos1, pos2], np.r_[w1[:, None] * A, -w2[:, None] * A], len(parent))
+        d = _sum_rows(np.concatenate((pos1, pos2)),
+                      np.concatenate((w1[:, None] * A, -w2[:, None] * A)), len(parent))
         for s, e in bounds[1:]:
             d[s:e] += sqrt_b[s:e, None] * d[parent[s:e]]
-        return d[bounds[-1][0]:] / np.sqrt(self.partition.leaf_measures)[:, None]
+        return d[bounds[-1][0]:] / self.partition.leaf_scale[:, None]
 
     def counts_by_level(self) -> list:
         counts = [0] * self.depth
@@ -294,8 +297,11 @@ def analyze(system: FrameletSystem, f: PwcFunction) -> CoefficientVector:
 
 def synthesize(system: FrameletSystem, cv: CoefficientVector) -> PwcFunction:
     """Coefficient-weighted sum of the system functions, by `FrameletSystem.synthesis`."""
-    if cv.system is not system and cv.system.to_json() != system.to_json():
-        raise IndexMismatch("coefficients indexed by a different system")
+    if cv.system is not system:
+        if cv.system.partition != system.partition:
+            raise PartitionMismatch("coefficients come from a system on a different partition")
+        if cv.system.to_json() != system.to_json():
+            raise IndexMismatch("coefficients indexed by a different system")
     vec = system.synthesis(np.concatenate(([cv.c0], cv.coefficients))[:, None])[:, 0]
     return PwcFunction(system.partition, vec)
 

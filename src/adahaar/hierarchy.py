@@ -102,8 +102,8 @@ class HierarchicalPartition:
     `children[id]` the ordered child ids of a non-leaf block. Level 0 is the
     single root block; every block is tiled exactly by its children.
     `leaf_index` (leaf id -> position) and the read-only float `leaf_measures`
-    follow the order of `leaf_ids`; `split_weights` and `cascade` are computed
-    on first read.
+    follow the order of `leaf_ids`; `split_weights`, `cascade` and `leaf_scale`
+    are computed on first read.
     Instances are immutable; builders and `from_json` are the only intended
     constructors.
     """
@@ -172,6 +172,14 @@ class HierarchicalPartition:
         sqrt_b[kid_pos] = np.sqrt(shares)
         parent.flags.writeable = sqrt_b.flags.writeable = False
         return pos, tuple(zip([0] + stops, stops)), parent, sqrt_b
+
+    @cached_property
+    def leaf_scale(self) -> np.ndarray:
+        """Read-only sqrt(leaf_measures): analysis multiplies leaf values by it, synthesis
+        divides by it."""
+        scale = np.sqrt(self.leaf_measures)
+        scale.flags.writeable = False
+        return scale
 
     def __eq__(self, other):
         if self is other:

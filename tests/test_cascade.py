@@ -133,13 +133,37 @@ def test_building_computes_no_split_weights_and_no_cascade(toy_digraph, chain_x)
     square, vbm = ah.digraph_embedding(toy_digraph, chain_x, chain_x)
     restricted = ah.restrict_system(ah.build_system(square), vbm)
     for p in (part, square):
-        assert not {"split_weights", "cascade"} & set(vars(p))
+        assert not {"split_weights", "cascade", "leaf_scale"} & set(vars(p))
     for s in (system, loaded, restricted):
         assert "pairs" not in vars(s)
+    assert "leaf_positions" not in vars(vbm)
     ah.analyze(restricted, ah.signal_to_function(np.ones(len(vbm.labels)), vbm))
-    assert "cascade" in vars(square) and "split_weights" not in vars(square)
-    assert "pairs" in vars(restricted)
+    assert {"cascade", "leaf_scale"} <= set(vars(square)) and "split_weights" not in vars(square)
+    assert "pairs" in vars(restricted) and "leaf_positions" in vars(vbm)
     assert square.cascade is square.cascade and restricted.pairs is restricted.pairs
+    assert square.leaf_scale is square.leaf_scale and vbm.leaf_positions is vbm.leaf_positions
+    for cached in (square.leaf_scale, vbm.leaf_positions):
+        with pytest.raises(ValueError):
+            cached[0] = 0
+
+
+@pytest.mark.parametrize("float_weights", [False, True])
+@pytest.mark.parametrize("n", [8, 16])
+def test_one_column_transforms_equal_a_column_of_three(n, float_weights):
+    """A one-column call sums without a flat index; its bits are those of the matching
+    column of a three-column call, in both directions."""
+    g = random_digraph(np.random.default_rng([n, int(float_weights), 61]), n, float_weights)
+    partition, vbm = embed(g)
+    rng = np.random.default_rng(n)
+    for system in systems_of(partition, vbm):
+        X = rng.standard_normal((len(partition.leaf_ids), 3))
+        A = rng.standard_normal((len(system), 3))
+        for transform, Y in ((system.analysis, X), (system.synthesis, A)):
+            together = transform(Y)
+            for j in range(3):
+                alone = transform(Y[:, j:j + 1])
+                assert alone.shape == (len(together), 1)
+                assert alone.tobytes() == together[:, j].tobytes()
 
 
 def exact_floats(part):

@@ -388,7 +388,8 @@ def test_moment_checks_fail_exactly_when_the_dense_checks_do():
 
 def test_verify_checks_build_no_dense_matrix():
     """At n=32 the full system has about 3000 functions on 1024 leaves, so its function
-    matrix alone is about 25 MB and its Gram matrix about 80 MB."""
+    matrix alone is about 25 MB and its Gram matrix about 80 MB. The checks read integer
+    shares, so the exact split weights stay unbuilt."""
     g = random_digraph(np.random.default_rng([32, 0, 59]), 32, False)
     partition, vbm = embed(g)
     system = ah.build_system(partition)
@@ -401,6 +402,7 @@ def test_verify_checks_build_no_dense_matrix():
         tracemalloc.stop()
     assert all(oks) and len(system) > 2500
     assert peak < 8 * 2 ** 20, peak
+    assert "split_weights" not in vars(partition)
 
 
 @pytest.mark.parametrize("field, value", [("directed", "false"), ("labels", "abcdef")])

@@ -156,10 +156,31 @@ def test_signal_embedding(toy_embedding):
 
 def test_signal_unknown_vertex(toy_embedding):
     _, vbm = toy_embedding
-    with pytest.raises(UnknownVertex):
+    with pytest.raises(UnknownVertex, match=r"^unknown vertex labels: \['z'\]$"):
         ah.signal_to_function({"z": 1.0}, vbm)
-    with pytest.raises(UnknownVertex):
-        ah.signal_to_function({"a": 1.0}, vbm)  # misses b..f
+    with pytest.raises(UnknownVertex, match=r"^signal misses vertices: \['b', 'c', 'd', 'e', 'f'\]$"):
+        ah.signal_to_function({"a": 1.0}, vbm)
+    for short in ([1.0] * 5, np.ones(5), (x for x in [1.0] * 5)):
+        with pytest.raises(UnknownVertex, match=r"^signal has 5 entries for 6 vertices$"):
+            ah.signal_to_function(short, vbm)
+
+
+def test_signal_forms_match_a_leaf_index_reference(toy_embedding):
+    """A mapping in any key order, a list, a tuple, an ndarray and a generator embed the
+    same values at the vertex blocks, through a map built in memory or read from JSON."""
+    partition, built = toy_embedding
+    loaded = ah.VertexBlockMap.from_json(partition, built.to_json())
+    values = np.random.default_rng(67).standard_normal(6)
+    want = np.zeros(len(partition.leaf_ids))
+    for b, v in zip(built.blocks, values):
+        want[partition.leaf_index[b]] = v
+    for vbm in (built, loaded):
+        forms = [dict(zip(vbm.labels[::-1], values[::-1])), values.tolist(), tuple(values),
+                 values, (v for v in values)]
+        for signal in forms:
+            f = ah.signal_to_function(signal, vbm)
+            assert f.vector.tobytes() == want.tobytes()
+        assert ah.function_to_signal(f, vbm) == dict(zip(VERTICES, values.tolist()))
 
 
 def test_restrict_counts(toy_system, toy_embedding):

@@ -247,6 +247,24 @@ def test_synthesize_index_mismatch(toy_system):
         ah.CoefficientVector(toy_system, 0.0, np.zeros(3))
 
 
+def test_synthesize_rejects_coefficients_from_another_partition():
+    """The dyadic square and the tensor square of the cuts 1/6, 1/3, 2/3 have the same
+    tree, so their systems have the same depth and atom keys, but not the same functions."""
+    dyadic = ah.make_dyadic_partition(2, 2)
+    line = ah.refine_interval_level([[(0, 1)], [(0, F(1, 3)), (F(1, 3), 1)],
+                                     [(0, F(1, 6)), (F(1, 6), F(1, 3)),
+                                      (F(1, 3), F(2, 3)), (F(2, 3), 1)]])
+    s1, s2 = ah.build_system(dyadic), ah.build_system(ah.tensor_partitions(line, line))
+    assert s1.to_json() == s2.to_json()
+    cv = ah.analyze(s1, indicator(dyadic, dyadic.leaf_ids[:3]))
+    with pytest.raises(PartitionMismatch):
+        ah.synthesize(s2, cv)
+    twin = ah.FrameletSystem.from_json(dyadic, s1.to_json())
+    assert ah.synthesize(twin, cv).vector.tobytes() == ah.synthesize(s1, cv).vector.tobytes()
+    with pytest.raises(IndexMismatch):
+        ah.synthesize(s1.subset(s1.atoms[1:]), cv)
+
+
 # ---------------------------------------------------------------- linear structure
 
 def test_child_indicators_recoverable_from_parent_and_atoms(interval_system):
