@@ -14,12 +14,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
 from .errors import (DepthMismatch, ParseError, PartitionMismatch, UnknownVertex,
                      ValidationError, ZeroDegreeCluster, strict_int)
-from .framelets import RANK_TOL, FrameletSystem, PwcFunction
+from .framelets import (RANK_TOL, FrameletSystem, PwcFunction, cascade_analysis,
+                         cascade_pairs, make_atom)
 from .graphs import Chain, Graph
 from .hierarchy import HierarchicalPartition, refine_interval_level, tensor_partitions
 
@@ -126,6 +128,31 @@ class VertexBlockMap:
         pos.flags.writeable = False
         return pos
 
+    @cached_property
+    def effective(self) -> frozenset:
+        """The vertex blocks and their ancestors: since children tile their parent, these
+        are exactly the blocks that meet a vertex block in positive measure."""
+        parent, seen = self.partition.parent, set()
+        for b in self.blocks:
+            while b is not None and b not in seen:
+                seen.add(b)
+                b = parent.get(b)
+        return frozenset(seen)
+
+    @cached_property
+    def cascade(self) -> tuple:
+        """`partition.cascade_over` the effective blocks and the children of the effective
+        non-leaf blocks, level by level in id order: the part of the tree on which a
+        vertex signal or a restricted atom is not zero."""
+        part = self.partition
+        blocks = set(self.effective)
+        for b in self.effective:
+            blocks.update(part.children[b])
+        levels = [[] for _ in part.levels]
+        for b in sorted(blocks):
+            levels[part.level_of[b]].append(b)
+        return part.cascade_over(levels)
+
     def block_of(self, label) -> int:
         try:
             return self.blocks[self.labels.index(label)]
@@ -184,8 +211,9 @@ def digraph_embedding(g: Graph, chain_x: Chain, chain_y: Chain) -> tuple:
 def signal_to_function(signal, vbm: VertexBlockMap) -> PwcFunction:
     """Embed vertex values as a piecewise-constant function on the square.
 
-    `signal` is a mapping label -> value or a sequence in vertex order; it
-    must cover every vertex and name no unknown ones.
+    `signal` is a mapping label -> value or an iterable in vertex order; it
+    must cover every vertex and name no unknown ones. An entry of an iterable
+    is one number or anything holding exactly one.
     """
     if isinstance(signal, dict):
         unknown = set(signal) - set(vbm.labels)
@@ -196,13 +224,26 @@ def signal_to_function(signal, vbm: VertexBlockMap) -> PwcFunction:
             raise UnknownVertex(f"signal misses vertices: {sorted(missing)}")
         values = [float(signal[lab]) for lab in vbm.labels]
     else:
-        values = [float(x) for x in signal]
+        values = _entry_values(signal)
         if len(values) != len(vbm.labels):
             raise UnknownVertex(
                 f"signal has {len(values)} entries for {len(vbm.labels)} vertices")
     vec = np.zeros(len(vbm.partition.leaf_ids))
     vec[vbm.leaf_positions] = values
     return PwcFunction(vbm.partition, vec)
+
+
+def _entry_values(signal) -> np.ndarray:
+    """One float per entry of a sequence, array or iterator: numeric arrays convert at once,
+    anything else goes through `float()` entry by entry, with its errors."""
+    entries = signal if isinstance(signal, np.ndarray) else list(signal)
+    try:
+        values = np.asarray(entries)
+    except ValueError:  # ragged entries
+        values = None
+    if values is None or values.dtype.kind not in "biuf" or values.size != len(entries):
+        values = [float(x) for x in entries]
+    return np.asarray(values, dtype=float).reshape(len(entries))
 
 
 def function_to_signal(f: PwcFunction, vbm: VertexBlockMap) -> dict:
@@ -212,27 +253,26 @@ def function_to_signal(f: PwcFunction, vbm: VertexBlockMap) -> dict:
     return dict(zip(vbm.labels, f.vector[vbm.leaf_positions].tolist()))
 
 
-def _effective_blocks(partition, vertex_blocks) -> set:
-    """The vertex blocks and their ancestors: since children tile their parent,
-    these are exactly the blocks that meet a vertex block in positive measure."""
-    seen = set()
-    for b in vertex_blocks:
-        while b is not None and b not in seen:
-            seen.add(b)
-            b = partition.parent.get(b)
-    return seen
-
-
 def restrict_system(system: FrameletSystem, vbm: VertexBlockMap) -> FrameletSystem:
     """Keep the scaling function and each atom whose support meets a vertex block.
 
     A block meets a vertex block exactly when it is that block or one of its
-    ancestors. The result is still a tight frame for the span of the vertex
+    ancestors, so the kept atoms are those of effective parents (`vbm.effective`)
+    with an effective child. They are enumerated from those parents in (level,
+    parent id, pair rank) order and kept if they are in `system`, whose atoms are
+    never all built. The result is still a tight frame for the span of the vertex
     indicators, since every dropped atom is orthogonal to it.
     """
-    effective = _effective_blocks(system.partition, vbm.blocks)
-    return system.subset(a for a in system.atoms
-                         if a.block1 in effective or a.block2 in effective)
+    part, effective = system.partition, vbm.effective
+    atoms = []
+    for level, p in sorted((part.level_of[b], b) for b in effective
+                           if part.level_of[b] < system.depth):
+        kids = part.children[p]
+        for l1, l2 in combinations(range(1, len(kids) + 1), 2):
+            if ((kids[l1 - 1] in effective or kids[l2 - 1] in effective)
+                    and (level, p, l1, l2) in system):
+                atoms.append(make_atom(part, level, p, l1, l2))
+    return system.subset(atoms)
 
 
 def prune_redundant(system: FrameletSystem, vbm: VertexBlockMap) -> tuple:
@@ -246,7 +286,7 @@ def prune_redundant(system: FrameletSystem, vbm: VertexBlockMap) -> tuple:
     frame bounds and rank on the span of the vertex indicators.
     """
     part = system.partition
-    effective = _effective_blocks(part, vbm.blocks)
+    effective = vbm.effective
     finest = system.depth - 1
     kept = []
     by_parent = {}
@@ -275,13 +315,18 @@ def vertex_span_bounds(system: FrameletSystem, vbm: VertexBlockMap) -> tuple:
 
     The normalized vertex indicators are orthonormal (vertex blocks are
     disjoint), so the frame operator compresses to M^T M, with column v of
-    M the analysis of indicator_v / sqrt(measure_v).
+    M the analysis of indicator_v / sqrt(measure_v). That analysis runs on
+    `vbm.cascade` from a unit value at each vertex leaf. An atom whose parent
+    is not effective has both blocks outside that cascade; its row of M is
+    zero, as on the whole tree, so it is left out.
     """
-    part = system.partition
-    cols = vbm.leaf_positions
-    X = np.zeros((len(part.leaf_ids), len(cols)))
-    X[cols, range(len(cols))] = 1.0 / part.leaf_scale[cols]
-    M = system.analysis(X)
+    cascade, effective = vbm.cascade, vbm.effective
+    pos = cascade[0]
+    pairs = cascade_pairs(cascade, [a for a in system.atoms if a.parent in effective])
+    n = len(vbm.blocks)
+    c = np.zeros((len(pos), n))
+    c[[pos[b] for b in vbm.blocks], range(n)] = 1.0
+    M = cascade_analysis(cascade, pairs, c)
     ev = np.linalg.eigvalsh(M.T @ M)
     rank = int((ev > RANK_TOL * max(ev[-1], 1e-300)).sum())
     return float(ev[0]), float(ev[-1]), rank

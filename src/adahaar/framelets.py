@@ -119,6 +119,44 @@ def _sum_rows(index, rows, size) -> np.ndarray:
     return np.bincount(flat, rows.ravel(), minlength=size * k).reshape(size, k)
 
 
+def cascade_pairs(cascade, atoms) -> tuple:
+    """(pos1, pos2, w1, w2, pos12, w12): function k's coefficient is
+    w1[k] c[pos1[k]] - w2[k] c[pos2[k]] on the `cascade` of a partition or subtree.
+
+    Scaling first, as the root twice with weights 1 and 0; an atom has the
+    cascade positions of block1 and block2, sqrt(b_l2) and sqrt(b_l1). The
+    synthesis scatters through pos12 = (pos1, pos2) with weights w12 = (w1, -w2).
+    """
+    pos, _, _, sqrt_b, _ = cascade
+    pos1 = np.array([0] + [pos[a.block1] for a in atoms])
+    pos2 = np.array([0] + [pos[a.block2] for a in atoms])
+    w1, w2 = sqrt_b[pos2], sqrt_b[pos1]
+    w2[0] = 0.0
+    pairs = (pos1, pos2, w1, w2, np.concatenate((pos1, pos2)), np.concatenate((w1, -w2)))
+    for x in pairs:
+        x.flags.writeable = False
+    return pairs
+
+
+def cascade_analysis(cascade, pairs, c) -> np.ndarray:
+    """Coefficients of every function from c (blocks x k), one row per cascade position.
+
+    The rows of blocks without children in the cascade hold their values on input;
+    one bottom-up pass overwrites every other row with c_P = sum_i sqrt(b_i) c_Bi,
+    and each function then takes w1 c[pos1] - w2 c[pos2].
+    """
+    _, bounds, _, sqrt_b, local = cascade
+    for (s, e), (ps, pe), lp in zip(bounds[:0:-1], bounds[-2::-1], local[:0:-1]):
+        c[ps:pe] = _sum_rows(lp, sqrt_b[s:e, None] * c[s:e], pe - ps)
+    pos1, pos2, w1, w2 = pairs[:4]
+    out = c[pos1]
+    out *= w1[:, None]
+    second = c[pos2]
+    second *= w2[:, None]
+    out -= second
+    return out
+
+
 def make_atom(partition, level, parent, l1, l2) -> FrameletAtom:
     kids = partition.children[parent]
     m = len(kids)
@@ -139,52 +177,60 @@ class FrameletSystem:
     """The normalized root indicator plus generators for levels 0..depth-1.
 
     Immutable; `subset` derives restricted systems on the same partition.
-    Atom order is (level, parent id, pair rank), which fixes the
+    Without `atoms` it is the full system, whose atoms are built on first
+    read. Atom order is (level, parent id, pair rank), which fixes the
     coefficient indexing used for serialization.
     """
 
-    def __init__(self, partition, depth, atoms):
+    def __init__(self, partition, depth, atoms=None):
         self.partition = partition
         self.depth = depth
-        self.atoms = tuple(atoms)
+        self._full = atoms is None
+        if atoms is not None:
+            self.atoms = tuple(atoms)
+
+    @cached_property
+    def atoms(self) -> tuple:
+        """The full system's atoms: every generator below `depth`, built on first read."""
+        return tuple(a for j in range(self.depth) for parent in self.partition.levels[j]
+                     for a in build_generators(self.partition, parent))
+
+    @cached_property
+    def _keys(self) -> frozenset:
+        return frozenset(a.key for a in self.atoms)
+
+    def __contains__(self, key) -> bool:
+        """Whether the atom key (level, parent, l1, l2) is one of the system's; the full
+        system answers without building its atoms."""
+        if not self._full:
+            return key in self._keys
+        level, parent, l1, l2 = key
+        return (level < self.depth and self.partition.level_of.get(parent) == level
+                and 1 <= l1 < l2 <= len(self.partition.children[parent]))
 
     def __len__(self):
         return 1 + len(self.atoms)
 
     @cached_property
     def pairs(self) -> tuple:
-        """(pos1, pos2, w1, w2): function k's coefficient is w1[k] c[pos1[k]] - w2[k] c[pos2[k]].
-
-        Scaling first, as the root twice with weights 1 and 0; an atom has the
-        cascade positions of block1 and block2, sqrt(b_l2) and sqrt(b_l1).
-        """
-        pos, _, _, sqrt_b = self.partition.cascade
-        pos1 = np.array([0] + [pos[a.block1] for a in self.atoms])
-        pos2 = np.array([0] + [pos[a.block2] for a in self.atoms])
-        w1, w2 = sqrt_b[pos2], sqrt_b[pos1]
-        w2[0] = 0.0
-        for x in (pos1, pos2, w1, w2):
-            x.flags.writeable = False
-        return pos1, pos2, w1, w2
+        """`cascade_pairs` of the atoms on the partition's cascade (computed once)."""
+        return cascade_pairs(self.partition.cascade, self.atoms)
 
     def analysis(self, X) -> np.ndarray:
         """Inner products of leaf values X (leaves x k, one column per signal) with every
         function, scaling first: one bottom-up pass."""
-        _, bounds, parent, sqrt_b = self.partition.cascade
+        cascade = self.partition.cascade
+        _, bounds, parent, _, _ = cascade
         c = np.empty((len(parent), X.shape[1]))
         c[bounds[-1][0]:] = X * self.partition.leaf_scale[:, None]
-        for (s, e), (ps, pe) in zip(bounds[:0:-1], bounds[-2::-1]):
-            c[ps:pe] = _sum_rows(parent[s:e] - ps, sqrt_b[s:e, None] * c[s:e], pe - ps)
-        pos1, pos2, w1, w2 = self.pairs
-        return w1[:, None] * c[pos1] - w2[:, None] * c[pos2]
+        return cascade_analysis(cascade, self.pairs, c)
 
     def synthesis(self, A) -> np.ndarray:
         """Leaf values of the sums of the functions weighted by the columns of A (one row per
         function, scaling first): one top-down pass, the transpose of `analysis`."""
-        _, bounds, parent, sqrt_b = self.partition.cascade
-        pos1, pos2, w1, w2 = self.pairs
-        d = _sum_rows(np.concatenate((pos1, pos2)),
-                      np.concatenate((w1[:, None] * A, -w2[:, None] * A)), len(parent))
+        _, bounds, parent, sqrt_b, _ = self.partition.cascade
+        pos12, w12 = self.pairs[4:]
+        d = _sum_rows(pos12, w12[:, None] * np.concatenate((A, A)), len(parent))
         for s, e in bounds[1:]:
             d[s:e] += sqrt_b[s:e, None] * d[parent[s:e]]
         return d[bounds[-1][0]:] / self.partition.leaf_scale[:, None]
@@ -209,12 +255,12 @@ class FrameletSystem:
         under P has squared norm w1^2 N[B1] + w2^2 N[B2] and cross-scale value
         M[P] |w1 s_B1 N[B1] - w2 s_B2 N[B2]|: sibling syntheses have disjoint supports.
         """
-        _, bounds, parent, sqrt_b = self.partition.cascade
-        pos1, pos2, w1, w2 = self.pairs
+        _, bounds, parent, sqrt_b, local = self.partition.cascade
+        pos1, pos2, w1, w2 = self.pairs[:4]
         integrals = self.analysis(np.ones((len(self.partition.leaf_ids), 1)))[:, 0]
         N = np.ones(len(parent))
-        for (s, e), (ps, pe) in zip(bounds[:0:-1], bounds[-2::-1]):
-            N[ps:pe] = np.bincount(parent[s:e] - ps, sqrt_b[s:e] ** 2 * N[s:e], pe - ps)
+        for (s, e), (ps, pe), lp in zip(bounds[:0:-1], bounds[-2::-1], local[:0:-1]):
+            N[ps:pe] = np.bincount(lp, sqrt_b[s:e] ** 2 * N[s:e], pe - ps)
         M = np.zeros(len(parent))
         np.maximum.at(M, pos1, np.abs(w1))
         np.maximum.at(M, pos2, np.abs(w2))
@@ -259,16 +305,14 @@ class FrameletSystem:
 
 
 def build_system(partition, depth=None) -> FrameletSystem:
-    """Cut-off framelet system on the partition, generators for levels < depth."""
+    """Cut-off framelet system on the partition, generators for levels < depth.
+
+    The atoms are built when first read; `restrict_system` needs none of them."""
     if depth is None:
         depth = partition.depth
     if depth > partition.depth:
         raise ValueError(f"system depth {depth} exceeds partition depth {partition.depth}")
-    atoms = []
-    for j in range(depth):
-        for parent in partition.levels[j]:
-            atoms.extend(build_generators(partition, parent))
-    return FrameletSystem(partition, depth, atoms)
+    return FrameletSystem(partition, depth)
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,7 +328,8 @@ class CoefficientVector:
             raise IndexMismatch("coefficient count does not match the system")
 
     def energy(self) -> float:
-        return self.c0 ** 2 + float(np.dot(self.coefficients, self.coefficients))
+        c = self.coefficients  # einsum, not np.dot: no BLAS threads for one dot product
+        return self.c0 ** 2 + float(np.einsum("i,i", c, c))
 
 
 def analyze(system: FrameletSystem, f: PwcFunction) -> CoefficientVector:

@@ -102,8 +102,8 @@ class HierarchicalPartition:
     `children[id]` the ordered child ids of a non-leaf block. Level 0 is the
     single root block; every block is tiled exactly by its children.
     `leaf_index` (leaf id -> position) and the read-only float `leaf_measures`
-    follow the order of `leaf_ids`; `split_weights`, `cascade` and `leaf_scale`
-    are computed on first read.
+    follow the order of `leaf_ids`; `leaf_measures`, `split_weights`, `cascade`
+    and `leaf_scale` are computed on first read.
     Instances are immutable; builders and `from_json` are the only intended
     constructors.
     """
@@ -124,9 +124,6 @@ class HierarchicalPartition:
             for b in level:
                 self.level_of[b] = j
         self.leaf_index = {b: i for i, b in enumerate(self.leaf_ids)}
-        self.leaf_measures = np.array([num / den for num, den in
-                                       (self.blocks[b].measure_ratio() for b in self.leaf_ids)])
-        self.leaf_measures.setflags(write=False)
 
     @property
     def depth(self) -> int:
@@ -154,24 +151,47 @@ class HierarchicalPartition:
                 for p, kids in self.children.items() if kids}
 
     @cached_property
+    def leaf_measures(self) -> np.ndarray:
+        """Read-only float measure of each leaf, in `leaf_ids` order (computed once)."""
+        mu = np.array([num / den for num, den in
+                       (self.blocks[b].measure_ratio() for b in self.leaf_ids)])
+        mu.setflags(write=False)
+        return mu
+
+    @cached_property
     def cascade(self) -> tuple:
-        """The tree as arrays for the framelet transforms: (block id -> position, each level's
-        (start, stop) positions, parent positions with -1 at the root, float sqrt(split
-        weight) with 1 at the root). Positions run level by level in `levels` order, so
-        the leaves come last, in `leaf_ids` order. The split weights are taken from the
-        integer shares, bit for bit `float` of `split_weights`, which stays unbuilt."""
-        pos = {b: i for i, b in enumerate(b for level in self.levels for b in level)}
-        stops = np.cumsum([len(level) for level in self.levels]).tolist()
+        """The whole tree as arrays for the framelet transforms: `cascade_over(levels)`."""
+        return self.cascade_over(self.levels)
+
+    def cascade_over(self, levels) -> tuple:
+        """A subtree as arrays for the framelet transforms.
+
+        `levels` lists the subtree's block ids level by level from the root; every
+        block's parent is in the subtree, and a block's children are all in it or none
+        are. Returns (block id -> position, each level's (start, stop) positions, parent
+        positions with -1 at the root, float sqrt(split weight) with 1 at the root, and
+        per level the parent positions less the start of the level above, the root's -1
+        at level 0). Positions follow `levels`, so the whole tree's leaves come last, in
+        `leaf_ids` order. The split weights are taken from the integer shares, bit for
+        bit `float` of `split_weights`, which stays unbuilt.
+        """
+        pos = {b: i for i, b in enumerate(b for level in levels for b in level)}
+        stops = np.cumsum([len(level) for level in levels]).tolist()
+        bounds = tuple(zip([0] + stops, stops))
         parent = np.array([pos.get(self.parent.get(b), -1) for b in pos])
         kid_pos, shares = [], []
-        for p, kids in self.children.items():
-            if kids:
+        for p in pos:
+            kids = self.children[p]
+            if kids and kids[0] in pos:
                 kid_pos += [pos[c] for c in kids]
                 shares += [num / den for num, den in self._shares(p)]
         sqrt_b = np.ones(len(pos))
         sqrt_b[kid_pos] = np.sqrt(shares)
-        parent.flags.writeable = sqrt_b.flags.writeable = False
-        return pos, tuple(zip([0] + stops, stops)), parent, sqrt_b
+        local = (parent[:1],) + tuple(parent[s:e] - ps
+                                      for (s, e), (ps, _) in zip(bounds[1:], bounds))
+        for x in (parent, sqrt_b, *local):
+            x.flags.writeable = False
+        return pos, bounds, parent, sqrt_b, local
 
     @cached_property
     def leaf_scale(self) -> np.ndarray:

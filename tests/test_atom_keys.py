@@ -117,6 +117,6 @@ def test_split_weights_wait_for_the_first_height(chain_x):
     loaded = ah.FrameletSystem.from_json(part, system.to_json())
     assert [a.key for a in loaded.atoms] == [a.key for a in system.atoms]
     assert not {"split_weights", "cascade"} & set(vars(part))
-    _, _, w1, w2 = system.pairs
+    w1, w2 = system.pairs[2:4]
     assert "cascade" in vars(part) and "split_weights" not in vars(part)
     assert np.all(w1 > 0) and w2[0] == 0 and np.all(w2[1:] > 0)

@@ -169,7 +169,7 @@ def test_one_column_transforms_equal_a_column_of_three(n, float_weights):
 def exact_floats(part):
     """leaf_measures and cascade weights rounded from the exact Block.measure and
     split_weights, which must equal the oracle's products of side lengths."""
-    pos, _, _, _ = part.cascade
+    pos = part.cascade[0]
     for blk in part.blocks.values():
         assert blk.measure == exact_measure(blk)
     mu = np.array([float(part.blocks[b].measure) for b in part.leaf_ids])

@@ -296,10 +296,10 @@ def corrupted(system, position, factor):
     """The system on a copy of its partition whose cascade has its sqrt(b) at `position`
     scaled by `factor`; the exact split weights stay as they are."""
     part = copy.copy(system.partition)
-    pos, bounds, parent, sqrt_b = system.partition.cascade
+    pos, bounds, parent, sqrt_b, local = system.partition.cascade
     sqrt_b = sqrt_b.copy()
     sqrt_b[position] *= factor
-    vars(part)["cascade"] = (pos, bounds, parent, sqrt_b)
+    vars(part)["cascade"] = (pos, bounds, parent, sqrt_b, local)
     return ah.FrameletSystem(part, system.depth, system.atoms)
 
 

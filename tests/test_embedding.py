@@ -183,6 +183,31 @@ def test_signal_forms_match_a_leaf_index_reference(toy_embedding):
         assert ah.function_to_signal(f, vbm) == dict(zip(VERTICES, values.tolist()))
 
 
+def test_signal_entries_of_one_value(toy_embedding):
+    """Entries holding one value each (a column, nested lists, one-element arrays) and
+    entries that float() reads (numpy scalars, ints, strings) embed like the flat signal;
+    an entry of another size or kind raises float()'s TypeError; a wrong count raises
+    UnknownVertex in every form."""
+    _, vbm = toy_embedding
+    values = np.random.default_rng(71).standard_normal(6)
+    want = ah.signal_to_function(values, vbm).vector
+    forms = [values[:, None], values[:, None, None], [[v] for v in values],
+             [np.array([v]) for v in values], [np.array(v) for v in values],
+             list(values), [repr(v) for v in values.tolist()]]
+    for signal in forms:
+        assert ah.signal_to_function(signal, vbm).vector.tobytes() == want.tobytes()
+    ints = ah.signal_to_function(np.arange(6), vbm).vector
+    floats = ah.signal_to_function([float(k) for k in range(6)], vbm).vector
+    assert ints.tobytes() == floats.tobytes()
+    for bad in (np.ones((6, 2)), [[1.0, 2.0]] * 6, [None] * 6, [1j] * 6, np.ones((6, 0))):
+        with pytest.raises(TypeError):
+            ah.signal_to_function(bad, vbm)
+    for short in (np.ones((5, 1)), [[1.0]] * 7, [np.array([1.0])] * 5, ["1"] * 5):
+        with pytest.raises(UnknownVertex, match=rf"^signal has {len(short)} entries for 6 "
+                                                r"vertices$"):
+            ah.signal_to_function(short, vbm)
+
+
 def test_restrict_counts(toy_system, toy_embedding):
     _, vbm = toy_embedding
     restricted = ah.restrict_system(toy_system, vbm)

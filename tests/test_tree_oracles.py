@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 import adahaar as ah
 from adahaar import Chain, IntervalEmbedding, ZeroDegreeCluster, refine_interval_level
-from adahaar.embedding import _effective_blocks
 from adahaar.hierarchy import Block, HierarchicalPartition, Interval, PartitionReport, ZERO, ONE
 
 from conftest import random_digraph, random_interval_levels
@@ -337,8 +336,7 @@ def test_restrict_and_prune_match_geometric_oracle(n, float_weights):
     cx, cy = ah.build_chain(gx), ah.build_chain(gy)
     depth = max(cx.depth, cy.depth)
     partition, vbm = ah.digraph_embedding(g, ah.pad_chain(cx, depth), ah.pad_chain(cy, depth))
-    effective = _effective_blocks(partition, vbm.blocks)
-    assert effective == {b for b in partition.blocks if touches_vertices(partition, b, vbm)}
+    assert vbm.effective == {b for b in partition.blocks if touches_vertices(partition, b, vbm)}
     system = ah.build_system(partition)
     restricted = ah.restrict_system(system, vbm)
     assert [a.key for a in restricted.atoms] == geometric_restrict_keys(system, vbm)
