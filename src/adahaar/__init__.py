@@ -15,9 +15,8 @@ from .errors import (AdahaarError, BadClustering, BadPair, BadWeights,
                      PartitionMismatch, UnknownVertex, ValidationError,
                      ZeroDegreeCluster)
 from .framelets import (CoefficientVector, FrameletAtom, FrameletSystem,
-                        PwcFunction, analyze, build_generators, build_system,
-                        inner_product, pair_to_flat, refinement_matrix,
-                        synthesize)
+                        PwcFunction, analyze, build_system, inner_product,
+                        pair_to_flat, refinement_matrix, synthesize)
 from .graphs import (Chain, Clustering, Graph, build_chain, coarse_grain,
                      default_cluster, is_weakly_connected, pad_chain,
                      symmetrize)

@@ -203,10 +203,10 @@ def _verify_checks(partition, system, vbm, rng, n_signals=20):
 
     shares = {}  # parent -> its integer shares; b_l1 + b_l2 is one rounded division
     expect = []
-    for a in system.atoms:
-        if a.parent not in shares:
-            shares[a.parent] = partition._shares(a.parent)
-        (n1, d1), (n2, d2) = shares[a.parent][a.l1 - 1], shares[a.parent][a.l2 - 1]
+    for _, p, l1, l2 in system.keys:
+        if p not in shares:
+            shares[p] = partition._shares(p)
+        (n1, d1), (n2, d2) = shares[p][l1 - 1], shares[p][l2 - 1]
         expect.append((n1 * d2 + n2 * d1) / (d1 * d2))
     worst = float(np.abs(norms[1:] - expect).max(initial=0.0))
     yield "atom_norms", worst <= 1e-12, f"max norm error {worst:.3e}"

@@ -14,14 +14,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
 from .errors import (DepthMismatch, ParseError, PartitionMismatch, UnknownVertex,
                      ValidationError, ZeroDegreeCluster, strict_int)
-from .framelets import (RANK_TOL, FrameletSystem, PwcFunction, cascade_analysis,
-                         cascade_pairs, make_atom)
+from .framelets import RANK_TOL, FrameletSystem, PwcFunction, cascade_analysis, cascade_pairs
 from .graphs import Chain, Graph
 from .hierarchy import HierarchicalPartition, refine_interval_level, tensor_partitions
 
@@ -258,21 +256,14 @@ def restrict_system(system: FrameletSystem, vbm: VertexBlockMap) -> FrameletSyst
 
     A block meets a vertex block exactly when it is that block or one of its
     ancestors, so the kept atoms are those of effective parents (`vbm.effective`)
-    with an effective child. They are enumerated from those parents in (level,
-    parent id, pair rank) order and kept if they are in `system`, whose atoms are
-    never all built. The result is still a tight frame for the span of the vertex
-    indicators, since every dropped atom is orthogonal to it.
+    with an effective child, in (level, parent id, pair rank) order. The result is
+    still a tight frame for the span of the vertex indicators, since every dropped
+    atom is orthogonal to it.
     """
-    part, effective = system.partition, vbm.effective
-    atoms = []
-    for level, p in sorted((part.level_of[b], b) for b in effective
-                           if part.level_of[b] < system.depth):
-        kids = part.children[p]
-        for l1, l2 in combinations(range(1, len(kids) + 1), 2):
-            if ((kids[l1 - 1] in effective or kids[l2 - 1] in effective)
-                    and (level, p, l1, l2) in system):
-                atoms.append(make_atom(part, level, p, l1, l2))
-    return system.subset(atoms)
+    children, effective = system.partition.children, vbm.effective
+    return FrameletSystem(system.partition, system.depth, sorted(
+        k for k in system.keys if k[1] in effective
+        and (children[k[1]][k[2] - 1] in effective or children[k[1]][k[3] - 1] in effective)))
 
 
 def prune_redundant(system: FrameletSystem, vbm: VertexBlockMap) -> tuple:
@@ -282,28 +273,23 @@ def prune_redundant(system: FrameletSystem, vbm: VertexBlockMap) -> tuple:
     children both meet a vertex block, plus the pairings with the
     lowest-indexed ineffective child (one witness sibling), so a parent
     with a single effective child keeps exactly one atom. Coarser levels
-    are left untouched. Returns the thinned system and a report with its
-    frame bounds and rank on the span of the vertex indicators.
+    are left untouched; atoms come out grouped by (level, parent), each
+    parent's in the input's order. Returns the thinned system and a report
+    with its frame bounds and rank on the span of the vertex indicators.
     """
-    part = system.partition
-    effective = vbm.effective
+    children, effective = system.partition.children, vbm.effective
     finest = system.depth - 1
-    kept = []
-    by_parent = {}
-    for a in system.atoms:
-        by_parent.setdefault((a.level, a.parent), []).append(a)
-    for (level, parent), atoms in sorted(by_parent.items()):
-        if level != finest:
-            kept.extend(atoms)
-            continue
-        kids = part.children[parent]
-        allowed = {pos for pos, cid in enumerate(kids, start=1) if cid in effective}
-        witness = next((pos for pos, cid in enumerate(kids, start=1)
-                        if pos not in allowed), None)
-        if witness is not None:
-            allowed.add(witness)
-        kept.extend(a for a in atoms if a.l1 in allowed and a.l2 in allowed)
-    pruned = system.subset(kept)
+    allowed = {}  # finest parent -> the child positions its kept atoms pair
+    for level, p, _, _ in system.keys:
+        if level == finest and p not in allowed:
+            kids = children[p]
+            ok = {pos for pos, cid in enumerate(kids, start=1) if cid in effective}
+            witness = next((pos for pos in range(1, len(kids) + 1) if pos not in ok), None)
+            allowed[p] = ok if witness is None else ok | {witness}
+    kept = sorted((k for k in system.keys
+                   if k[0] != finest or (k[2] in allowed[k[1]] and k[3] in allowed[k[1]])),
+                  key=lambda k: k[:2])
+    pruned = FrameletSystem(system.partition, system.depth, kept)
     lo, hi, rank = vertex_span_bounds(pruned, vbm)
     report = {"frame_bounds": [lo, hi], "rank": rank,
               "counts": {"input": len(system), "pruned": len(pruned)}}
@@ -322,7 +308,7 @@ def vertex_span_bounds(system: FrameletSystem, vbm: VertexBlockMap) -> tuple:
     """
     cascade, effective = vbm.cascade, vbm.effective
     pos = cascade[0]
-    pairs = cascade_pairs(cascade, [a for a in system.atoms if a.parent in effective])
+    pairs = cascade_pairs(cascade, system.partition, [k for k in system.keys if k[1] in effective])
     n = len(vbm.blocks)
     c = np.zeros((len(pos), n))
     c[[pos[b] for b in vbm.blocks], range(n)] = 1.0

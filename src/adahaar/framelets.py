@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 
 import numpy as np
@@ -95,6 +95,7 @@ class FrameletAtom:
 
     l1 < l2 are 1-based positions within the parent's child list, block1 and
     block2 the corresponding sibling block ids and b the parent's split weights.
+    A read-only view of one of `FrameletSystem.keys`; the library reads keys.
     """
 
     partition: HierarchicalPartition
@@ -119,17 +120,18 @@ def _sum_rows(index, rows, size) -> np.ndarray:
     return np.bincount(flat, rows.ravel(), minlength=size * k).reshape(size, k)
 
 
-def cascade_pairs(cascade, atoms) -> tuple:
+def cascade_pairs(cascade, partition, keys) -> tuple:
     """(pos1, pos2, w1, w2, pos12, w12): function k's coefficient is
     w1[k] c[pos1[k]] - w2[k] c[pos2[k]] on the `cascade` of a partition or subtree.
 
-    Scaling first, as the root twice with weights 1 and 0; an atom has the
-    cascade positions of block1 and block2, sqrt(b_l2) and sqrt(b_l1). The
+    Scaling first, as the root twice with weights 1 and 0; the atom (level, p, l1, l2)
+    has the cascade positions of p's children l1 and l2, sqrt(b_l2) and sqrt(b_l1). The
     synthesis scatters through pos12 = (pos1, pos2) with weights w12 = (w1, -w2).
     """
     pos, _, _, sqrt_b, _ = cascade
-    pos1 = np.array([0] + [pos[a.block1] for a in atoms])
-    pos2 = np.array([0] + [pos[a.block2] for a in atoms])
+    children = partition.children
+    pos1 = np.array([0] + [pos[children[p][l1 - 1]] for _, p, l1, _ in keys])
+    pos2 = np.array([0] + [pos[children[p][l2 - 1]] for _, p, _, l2 in keys])
     w1, w2 = sqrt_b[pos2], sqrt_b[pos1]
     w2[0] = 0.0
     pairs = (pos1, pos2, w1, w2, np.concatenate((pos1, pos2)), np.concatenate((w1, -w2)))
@@ -157,64 +159,49 @@ def cascade_analysis(cascade, pairs, c) -> np.ndarray:
     return out
 
 
-def make_atom(partition, level, parent, l1, l2) -> FrameletAtom:
-    kids = partition.children[parent]
-    m = len(kids)
-    if not (1 <= l1 < l2 <= m):
-        raise BadPair(f"pair ({l1}, {l2}) out of range for parent {parent} with {m} children")
-    return FrameletAtom(partition, level, parent, l1, l2, kids[l1 - 1], kids[l2 - 1])
-
-
-def build_generators(partition, parent) -> list:
-    """All child-pair generators of one parent block, in flat pair order."""
-    level = partition.level_of[parent]
-    m = len(partition.children[parent])
-    return [make_atom(partition, level, parent, l1, l2)
-            for l1, l2 in combinations(range(1, m + 1), 2)]
+@cache
+def _pairs(m) -> tuple:
+    """The child pairs (l1, l2), 1 <= l1 < l2 <= m, in rank order."""
+    return tuple(combinations(range(1, m + 1), 2))
 
 
 class FrameletSystem:
     """The normalized root indicator plus generators for levels 0..depth-1.
 
-    Immutable; `subset` derives restricted systems on the same partition.
-    Without `atoms` it is the full system, whose atoms are built on first
-    read. Atom order is (level, parent id, pair rank), which fixes the
-    coefficient indexing used for serialization.
+    A system is its partition, its depth and `keys`, one (level, parent, l1, l2)
+    int tuple per atom in atom order, which fixes the coefficient indexing used
+    for serialization. Without `keys` it is the full system, whose keys are
+    listed on first read in (level, parent id, pair rank) order. Immutable;
+    `subset` derives restricted systems on the same partition.
     """
 
-    def __init__(self, partition, depth, atoms=None):
+    def __init__(self, partition, depth, keys=None):
         self.partition = partition
         self.depth = depth
-        self._full = atoms is None
-        if atoms is not None:
-            self.atoms = tuple(atoms)
+        if keys is not None:
+            self.keys = tuple(keys)
+
+    @cached_property
+    def keys(self) -> tuple:
+        """The full system's keys: every generator below `depth`, listed on first read."""
+        levels, children = self.partition.levels, self.partition.children
+        return tuple([(j, p, l1, l2) for j in range(self.depth) for p in levels[j]
+                      for l1, l2 in _pairs(len(children[p]))])
 
     @cached_property
     def atoms(self) -> tuple:
-        """The full system's atoms: every generator below `depth`, built on first read."""
-        return tuple(a for j in range(self.depth) for parent in self.partition.levels[j]
-                     for a in build_generators(self.partition, parent))
-
-    @cached_property
-    def _keys(self) -> frozenset:
-        return frozenset(a.key for a in self.atoms)
-
-    def __contains__(self, key) -> bool:
-        """Whether the atom key (level, parent, l1, l2) is one of the system's; the full
-        system answers without building its atoms."""
-        if not self._full:
-            return key in self._keys
-        level, parent, l1, l2 = key
-        return (level < self.depth and self.partition.level_of.get(parent) == level
-                and 1 <= l1 < l2 <= len(self.partition.children[parent]))
+        """A read-only `FrameletAtom` per key, built on first read."""
+        part, children = self.partition, self.partition.children
+        return tuple(FrameletAtom(part, j, p, l1, l2, children[p][l1 - 1], children[p][l2 - 1])
+                     for j, p, l1, l2 in self.keys)
 
     def __len__(self):
-        return 1 + len(self.atoms)
+        return 1 + len(self.keys)
 
     @cached_property
     def pairs(self) -> tuple:
-        """`cascade_pairs` of the atoms on the partition's cascade (computed once)."""
-        return cascade_pairs(self.partition.cascade, self.atoms)
+        """`cascade_pairs` of the keys on the partition's cascade (computed once)."""
+        return cascade_pairs(self.partition.cascade, self.partition, self.keys)
 
     def analysis(self, X) -> np.ndarray:
         """Inner products of leaf values X (leaves x k, one column per signal) with every
@@ -237,12 +224,13 @@ class FrameletSystem:
 
     def counts_by_level(self) -> list:
         counts = [0] * self.depth
-        for a in self.atoms:
-            counts[a.level] += 1
+        for level, *_ in self.keys:
+            counts[level] += 1
         return counts
 
     def subset(self, atoms) -> "FrameletSystem":
-        return FrameletSystem(self.partition, self.depth, atoms)
+        """The system of the given atoms (`FrameletAtom`s, as `atoms` lists them)."""
+        return FrameletSystem(self.partition, self.depth, [a.key for a in atoms])
 
     def moments(self) -> tuple:
         """(integral, squared norm, cross-scale value) of every function, scaling first, from
@@ -274,7 +262,7 @@ class FrameletSystem:
 
     def to_json(self) -> dict:
         return {"depth": self.depth,
-                "atoms": [[a.level, a.parent, a.l1, a.l2] for a in self.atoms]}
+                "atoms": [list(k) for k in self.keys]}
 
     @classmethod
     def from_json(cls, partition, obj) -> "FrameletSystem":
@@ -301,13 +289,17 @@ class FrameletSystem:
             if level >= depth:
                 raise ValidationError(f"atom {key}: level {level} is not below depth {depth}")
             seen.add(key)
-        return cls(partition, depth, [make_atom(partition, *key) for key in keys])
+        for _, parent, l1, l2 in keys:
+            m = len(partition.children[parent])
+            if not 1 <= l1 < l2 <= m:
+                raise BadPair(f"pair ({l1}, {l2}) out of range for parent {parent} with {m} children")
+        return cls(partition, depth, keys)
 
 
 def build_system(partition, depth=None) -> FrameletSystem:
     """Cut-off framelet system on the partition, generators for levels < depth.
 
-    The atoms are built when first read; `restrict_system` needs none of them."""
+    Its keys are listed when first read."""
     if depth is None:
         depth = partition.depth
     if depth > partition.depth:
@@ -324,7 +316,7 @@ class CoefficientVector:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        if self.coefficients.shape != (len(self.system.atoms),):
+        if self.coefficients.shape != (len(self.system.keys),):
             raise IndexMismatch("coefficient count does not match the system")
 
     def energy(self) -> float:
@@ -345,7 +337,7 @@ def synthesize(system: FrameletSystem, cv: CoefficientVector) -> PwcFunction:
     if cv.system is not system:
         if cv.system.partition != system.partition:
             raise PartitionMismatch("coefficients come from a system on a different partition")
-        if cv.system.to_json() != system.to_json():
+        if (cv.system.depth, cv.system.keys) != (system.depth, system.keys):
             raise IndexMismatch("coefficients indexed by a different system")
     vec = system.synthesis(np.concatenate(([cv.c0], cv.coefficients))[:, None])[:, 0]
     return PwcFunction(system.partition, vec)
@@ -359,8 +351,8 @@ def coefficients_to_csv(cv: CoefficientVector, fh) -> None:
     w = csv.writer(fh)
     w.writerow(["level", "parent", "l1", "l2", "value"])
     w.writerow([*SCALING_KEY, "%.17g" % cv.c0])
-    for a, c in zip(cv.system.atoms, cv.coefficients):
-        w.writerow([a.level, a.parent, a.l1, a.l2, "%.17g" % c])
+    for key, c in zip(cv.system.keys, cv.coefficients):
+        w.writerow([*key, "%.17g" % c])
 
 
 def coefficients_from_csv(system: FrameletSystem, fh) -> CoefficientVector:
@@ -387,7 +379,7 @@ def coefficients_from_csv(system: FrameletSystem, fh) -> CoefficientVector:
             raise ParseError(f"{where}: coefficient {key} appears more than once")
         got[key] = value
     c0 = got.pop(SCALING_KEY, 0.0)
-    keys = [a.key for a in system.atoms]
+    keys = system.keys
     if set(got) != set(keys):
         raise IndexMismatch("coefficient rows do not match the system's atoms")
     return CoefficientVector(system, c0, np.array([got[k] for k in keys]))

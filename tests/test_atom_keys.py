@@ -1,6 +1,7 @@
 """Atoms as keys: function rows, split weights, leaf measures and leaf positions
 against exact oracles.
 
+A system is its keys; `system.atoms` is a read-only view built on first read.
 An atom stores its key and its two child blocks; its values follow from the
 partition's split weights. The dense rows of `oracles.dense_matrix` are built
 from exact Fraction measures the way atoms once stored them: every leaf
@@ -9,6 +10,8 @@ cascade's synthesis of the unit coefficient vectors, so it matches those
 rows to within 1e-14 of each row's largest entry, not bit for bit.
 """
 
+import io
+import json
 import math
 from fractions import Fraction as F
 
@@ -16,9 +19,12 @@ import numpy as np
 import pytest
 
 import adahaar as ah
+from adahaar.cli import _verify_checks
+from adahaar.framelets import coefficients_from_csv, coefficients_to_csv
 from conftest import random_digraph
 from oracles import (atom_vector, dense_matrix, exact_measure, function_matrix, leaves_under,
                      scaling_vector)
+from test_cascade import embed
 
 
 def check_system(system):
@@ -120,3 +126,27 @@ def test_split_weights_wait_for_the_first_height(chain_x):
     w1, w2 = system.pairs[2:4]
     assert "cascade" in vars(part) and "split_weights" not in vars(part)
     assert np.all(w1 > 0) and w2[0] == 0 and np.all(w2[1:] > 0)
+
+
+def test_the_pipeline_reads_keys_and_builds_no_atom():
+    """Build, restrict, prune, the JSON and coefficient CSV round trips, both transforms
+    and verify's checks read each system's keys; none of them builds `system.atoms`."""
+    n = 12
+    partition, vbm = embed(random_digraph(np.random.default_rng([n, 1, 97]), n, True))
+    systems = list(systems_of(partition, vbm))
+    rng = np.random.default_rng(97)
+    for system in list(systems):
+        loaded = ah.FrameletSystem.from_json(partition, json.loads(json.dumps(system.to_json())))
+        assert loaded.keys == system.keys and loaded.counts_by_level() == system.counts_by_level()
+        cv = ah.analyze(loaded, ah.signal_to_function(rng.standard_normal(n), vbm))
+        buf = io.StringIO()
+        coefficients_to_csv(cv, buf)
+        buf.seek(0)
+        back = coefficients_from_csv(system, buf)
+        assert back.coefficients.tobytes() == cv.coefficients.tobytes()
+        g1, g2 = ah.synthesize(loaded, back), ah.synthesize(system, back)
+        assert g1.vector.tobytes() == g2.vector.tobytes()
+        checks = list(_verify_checks(partition, loaded, vbm, np.random.default_rng(0), 2))
+        assert len(checks) == 6
+        systems.append(loaded)
+    assert all("atoms" not in vars(s) for s in systems)

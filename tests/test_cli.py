@@ -300,7 +300,7 @@ def corrupted(system, position, factor):
     sqrt_b = sqrt_b.copy()
     sqrt_b[position] *= factor
     vars(part)["cascade"] = (pos, bounds, parent, sqrt_b, local)
-    return ah.FrameletSystem(part, system.depth, system.atoms)
+    return ah.FrameletSystem(part, system.depth, system.keys)
 
 
 def corruptions(system, rng, count):
@@ -553,6 +553,8 @@ def corrupt_system(obj, case):
         obj["depth"] -= 1
     elif case == "unknown_parent":
         atoms[0][1] = 999
+    elif case == "pair_out_of_range":
+        atoms[0][3] = 99
 
 
 @pytest.mark.parametrize("case, message", [
@@ -561,6 +563,7 @@ def corrupt_system(obj, case):
     ("depth_above_partition", "system depth 4 is outside 0..3"),
     ("level_not_below_depth", "is not below depth 2"),
     ("unknown_parent", "the partition has no block 999"),
+    ("pair_out_of_range", "out of range for parent"),
 ])
 def test_system_keys_checked_against_partition_exit_3(workdir, case, message):
     out = build_only(workdir)
@@ -574,7 +577,7 @@ def test_system_keys_checked_against_partition_exit_3(workdir, case, message):
     for r in runs:
         assert r.returncode == 3, r.stdout + r.stderr
         assert message in r.stderr and "Traceback" not in r.stderr
-    if case != "depth_above_partition":
+    if case not in ("depth_above_partition", "pair_out_of_range"):
         assert "atom (" in runs[0].stderr
     assert not (out / "coeffs.csv").exists()
 

@@ -141,13 +141,21 @@ def test_toy_second_atom_printed_coefficients(interval_system):
     assert abs(row[part.leaf_index[leaf2]] + 8 / math.sqrt(6)) <= 1e-12
 
 
+def generator_keys(partition, parent):
+    """The keys of one parent's child-pair generators, in pair order."""
+    m = len(partition.children[parent])
+    return [(partition.level_of[parent], parent, l1, l2)
+            for l1, l2 in combinations(range(1, m + 1), 2)]
+
+
 def test_generators_dyadic_square():
     # equal quarter split: six generators with values exactly +-1
     p = ah.make_dyadic_partition(2, 1)
-    atoms = ah.build_generators(p, p.root)
+    system = ah.FrameletSystem(p, 1, generator_keys(p, p.root))
+    atoms = system.atoms
     assert len(atoms) == 6
     assert [(a.l1, a.l2) for a in atoms] == list(combinations(range(1, 5), 2))
-    for a, row in zip(atoms, function_matrix(ah.FrameletSystem(p, 1, atoms))[1:]):
+    for a, row in zip(atoms, function_matrix(system)[1:]):
         assert abs(row[p.leaf_index[a.block1]] - 1.0) <= 1e-15
         assert abs(row[p.leaf_index[a.block2]] + 1.0) <= 1e-15
 
@@ -278,12 +286,12 @@ def test_child_indicators_recoverable_from_parent_and_atoms(interval_system):
         pm = part.blocks[parent].measure
         b = [float(part.blocks[c].measure / pm) for c in kids]
         A = ah.refinement_matrix(b)
-        atoms = ah.build_generators(part, parent)
+        keys = generator_keys(part, parent)
         parent_indicator = np.zeros(len(part.leaf_ids))
         pos = {leaf: i for i, leaf in enumerate(part.leaf_ids)}
         for leaf in leaves_under(part, parent):
             parent_indicator[pos[leaf]] = 1.0 / math.sqrt(float(pm))
-        rows = function_matrix(ah.FrameletSystem(part, 3, atoms))[1:]
+        rows = function_matrix(ah.FrameletSystem(part, 3, keys))[1:]
         stack = [parent_indicator] + list(rows)
         for col, child in enumerate(kids):
             recon = sum(A[r, col] * stack[r] for r in range(len(stack)))
@@ -301,13 +309,13 @@ def test_atoms_reproduce_their_span(interval_system):
     cases += [(interval_system.partition, parent)
               for parent in interval_system.partition.levels[2]]
     for p, parent in cases:
-        atoms = ah.build_generators(p, parent if parent is not None else p.root)
-        if not atoms:
+        keys = generator_keys(p, parent if parent is not None else p.root)
+        if not keys:
             continue
-        vectors = function_matrix(ah.FrameletSystem(p, p.depth, atoms))[1:]
+        vectors = function_matrix(ah.FrameletSystem(p, p.depth, keys))[1:]
         mu = np.array([float(p.blocks[b].measure) for b in p.leaf_ids])
         for _ in range(10):
-            g = rng.standard_normal(len(atoms)) @ vectors
+            g = rng.standard_normal(len(keys)) @ vectors
             coeffs = (vectors * mu) @ g
             recon = coeffs @ vectors
             assert np.abs(recon - g).max() <= 1e-10 * max(1.0, np.abs(g).max())

@@ -1,8 +1,8 @@
 """Restriction, pruning and span bounds from the blocks that meet a vertex.
 
-`restrict_system` enumerates the generators of the effective parents (the
-vertex blocks and their ancestors, `vbm.effective`) and never builds the
-full system's atoms; `vertex_span_bounds` runs on `vbm.cascade`, the subtree
+`restrict_system` keeps the keys of the effective parents (the vertex blocks
+and their ancestors, `vbm.effective`) with an effective child and builds no
+atom; `vertex_span_bounds` runs on `vbm.cascade`, the subtree
 of the effective blocks and their children. Here the restricted keys are
 held to the filter over the materialized full system, whose effective set
 comes from the leaves under each block, and the span bounds of systems read
@@ -50,14 +50,21 @@ def test_lazy_restriction_equals_the_filter_over_the_full_system(g, cut):
     kept = set(want)
     assert [(a.block1, a.block2) for a in restricted.atoms] == [
         (a.block1, a.block2) for a in full if a.key in kept]
-    # a system with explicit atoms keeps only its own: here every other full atom
-    explicit = ah.FrameletSystem(partition, depth, full[::2])
+    # a system with explicit keys keeps only its own: here every other full atom
+    explicit = ah.FrameletSystem(partition, depth, [a.key for a in full[::2]])
     keep = {a.key for a in full[::2]}
     assert [a.key for a in ah.restrict_system(explicit, vbm).atoms] == [
         k for k in want if k in keep]
+    # a file-read system in shuffled order comes back in (level, parent id, pair rank) order
+    order = np.random.default_rng([cut, len(full)]).permutation(len(full))
+    shuffled = ah.FrameletSystem.from_json(
+        partition, {"depth": depth, "atoms": [list(full[k].key) for k in order]})
+    assert ah.restrict_system(shuffled, vbm).keys == tuple(want)
 
 
 def test_the_full_system_answers_membership_without_its_atoms(toy_embedding):
+    """The full system's keys are exactly the generators below its depth, listed
+    without building an atom."""
     partition, vbm = toy_embedding
     full = ah.build_system(partition, 2)
     keys = {a.key for a in ah.build_system(partition, 2).atoms}
@@ -65,7 +72,7 @@ def test_the_full_system_answers_membership_without_its_atoms(toy_embedding):
     wrong = {(0, parent, 1, 2), (1, parent, 0, 1), (1, parent, 2, 2), (1, parent, 1, 99),
              (0, 999, 1, 2)}  # wrong level, pair out of range, no such block
     candidates = keys | wrong | {(2, b, 1, 2) for b in partition.levels[2]}  # below depth
-    assert {k for k in candidates if k in full} == keys
+    assert candidates & set(full.keys) == keys
     assert "atoms" not in vars(full)
     assert len(full) == 1 + len(keys) and {a.key for a in full.atoms} == keys
 
