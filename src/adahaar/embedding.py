@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import (DepthMismatch, ParseError, PartitionMismatch, UnknownVertex,
                      ValidationError, ZeroDegreeCluster, strict_int)
-from .framelets import RANK_TOL, FrameletSystem, PwcFunction, cascade_analysis, cascade_pairs
+from .framelets import (RANK_TOL, FrameletSystem, PwcFunction, cascade_analysis,
+                        cascade_pairs, generator_keys)
 from .graphs import Chain, Graph
 from .hierarchy import HierarchicalPartition, refine_interval_level, tensor_partitions
 
@@ -256,14 +257,21 @@ def restrict_system(system: FrameletSystem, vbm: VertexBlockMap) -> FrameletSyst
 
     A block meets a vertex block exactly when it is that block or one of its
     ancestors, so the kept atoms are those of effective parents (`vbm.effective`)
-    with an effective child, in (level, parent id, pair rank) order. The result is
-    still a tight frame for the span of the vertex indicators, since every dropped
-    atom is orthogonal to it.
+    with an effective child, in (level, parent id, pair rank) order. Of a full
+    system only the effective parents' keys are listed. The result is still a
+    tight frame for the span of the vertex indicators, since every dropped atom
+    is orthogonal to it.
     """
-    children, effective = system.partition.children, vbm.effective
-    return FrameletSystem(system.partition, system.depth, sorted(
-        k for k in system.keys if k[1] in effective
-        and (children[k[1]][k[2] - 1] in effective or children[k[1]][k[3] - 1] in effective)))
+    part, effective = system.partition, vbm.effective
+    children, level_of = part.children, part.level_of
+    if system.full:
+        keys = generator_keys(part, sorted((level_of[b], b) for b in effective
+                                           if level_of[b] < system.depth))
+    else:
+        keys = sorted(k for k in system.keys if k[1] in effective)
+    return FrameletSystem(part, system.depth, [
+        k for k in keys
+        if children[k[1]][k[2] - 1] in effective or children[k[1]][k[3] - 1] in effective])
 
 
 def prune_redundant(system: FrameletSystem, vbm: VertexBlockMap) -> tuple:

@@ -165,28 +165,36 @@ def _pairs(m) -> tuple:
     return tuple(combinations(range(1, m + 1), 2))
 
 
+def generator_keys(partition, parents) -> list:
+    """The key of every generator of the given (level, parent id) pairs, in their order
+    and, within a parent, in pair rank order."""
+    children = partition.children
+    return [(j, p, l1, l2) for j, p in parents for l1, l2 in _pairs(len(children[p]))]
+
+
 class FrameletSystem:
     """The normalized root indicator plus generators for levels 0..depth-1.
 
     A system is its partition, its depth and `keys`, one (level, parent, l1, l2)
     int tuple per atom in atom order, which fixes the coefficient indexing used
-    for serialization. Without `keys` it is the full system, whose keys are
-    listed on first read in (level, parent id, pair rank) order. Immutable;
-    `subset` derives restricted systems on the same partition.
+    for serialization. Without `keys` it is the full system (`full` is true),
+    whose keys are listed on first read in (level, parent id, pair rank) order.
+    Immutable; `subset` derives restricted systems on the same partition.
     """
 
     def __init__(self, partition, depth, keys=None):
         self.partition = partition
         self.depth = depth
+        self.full = keys is None
         if keys is not None:
             self.keys = tuple(keys)
 
     @cached_property
     def keys(self) -> tuple:
         """The full system's keys: every generator below `depth`, listed on first read."""
-        levels, children = self.partition.levels, self.partition.children
-        return tuple([(j, p, l1, l2) for j in range(self.depth) for p in levels[j]
-                      for l1, l2 in _pairs(len(children[p]))])
+        levels = self.partition.levels
+        return tuple(generator_keys(self.partition,
+                                    ((j, p) for j in range(self.depth) for p in levels[j])))
 
     @cached_property
     def atoms(self) -> tuple:

@@ -300,12 +300,6 @@ def _pair_score(g: Graph, deg, A, B) -> float:
     return float(g.weights[np.ix_(A, B)].sum()) / (deg[A].sum() * deg[B].sum())
 
 
-def _scores(inter, degree_products):
-    """Elementwise inter / degree_products, or -inf where nothing joins the pair."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.where(inter > 0, inter / degree_products, -np.inf)
-
-
 def default_cluster(g: Graph, target=None) -> Clustering:
     """Deterministic greedy merge down to `target` clusters (default ceil(n/2)).
 
@@ -316,11 +310,13 @@ def default_cluster(g: Graph, target=None) -> Clustering:
     The cluster-weight matrix, the degree sums and the upper-triangular
     score matrix, all indexed by smallest member, carry over from merge to
     merge: merging b into a adds b's row and column into a's, retires b and
-    re-scores a's row and column, so a merge costs about m^2. Sums built up
-    this way can differ from a fresh sum in the last bits, so every pair
-    within SCORE_BAND (relative) of the top score is re-scored from the
-    member lists and the first pair with the highest exact score wins,
-    which gives the same merges as scoring every pair afresh.
+    re-scores a from its row of the (exactly symmetric) weight matrix, so a
+    merge costs about m^2 in a few array operations, all under one
+    `np.errstate`. Sums built up this way can differ from a fresh sum in the
+    last bits, so every pair within SCORE_BAND (relative) of the top score
+    is re-scored from the member lists, under the caller's floating-point
+    settings, and the first pair with the highest exact score wins, which
+    gives the same merges as scoring every pair afresh.
     """
     if g.directed:
         raise ValueError("default_cluster expects an undirected graph")
@@ -332,32 +328,39 @@ def default_cluster(g: Graph, target=None) -> Clustering:
     clusters = {v: [v] for v in range(n)}
     C = np.array(g.weights)
     d = deg.copy()
-    S = _scores(np.triu(C, 1), np.outer(d, d))
-    while len(clusters) > target:
-        top = S.max()
-        if top == -np.inf:
-            break  # nothing mergeable; disconnected input
-        if np.isnan(top):  # weights so large that sums overflow: score every joined pair
-            pairs = np.argwhere(S != -np.inf).tolist()
-        else:
-            pairs = np.argwhere(S >= top * (1 - SCORE_BAND)).tolist()  # lexicographic
-        a, b = pairs[0]
-        if len(pairs) > 1:
-            best = None
-            for p, q in pairs:
-                score = _pair_score(g, deg, clusters[p], clusters[q])
-                if best is None or score > best[0]:
-                    best = (score, p, q)
-            _, a, b = best
-        clusters[a] = clusters[a] + clusters[b]
-        del clusters[b]
-        C[a] += C[b]
-        C[:, a] += C[:, b]
-        C[b] = C[:, b] = 0  # retired: b's weight now lives in a
-        d[a] += d[b]
-        S[b] = S[:, b] = -np.inf
-        S[a, a + 1:] = _scores(C[a, a + 1:], d[a] * d[a + 1:])
-        S[:a, a] = _scores(C[:a, a], d[:a] * d[a])
+    caller = np.geterr()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        upper = np.triu(C, 1)
+        S = np.where(upper > 0, upper / np.outer(d, d), -np.inf)
+        flat = S.ravel()  # a view: pair (a, b) is entry a * n + b
+        while len(clusters) > target:
+            top = flat.max()
+            if top == -np.inf:
+                break  # nothing mergeable; disconnected input
+            if np.isnan(top):  # weights so large that sums overflow: score every joined pair
+                band = (flat != -np.inf).nonzero()[0]
+            else:
+                band = (flat >= top * (1 - SCORE_BAND)).nonzero()[0]  # lexicographic
+            a, b = divmod(int(band[0]), n)
+            if len(band) > 1:
+                with np.errstate(**caller):
+                    best = None
+                    for p, q in (divmod(k, n) for k in band.tolist()):
+                        score = _pair_score(g, deg, clusters[p], clusters[q])
+                        if best is None or score > best[0]:
+                            best = (score, p, q)
+                _, a, b = best
+            clusters[a] = clusters[a] + clusters[b]
+            del clusters[b]
+            C[a] += C[b]
+            C[:, a] += C[:, b]
+            C[b] = C[:, b] = 0  # retired: b's weight now lives in a
+            d[a] += d[b]
+            S[b] = S[:, b] = -np.inf
+            row = C[a]
+            scores = np.where(row > 0, row / (d[a] * d), -np.inf)
+            S[a, a + 1:] = scores[a + 1:]
+            S[:a, a] = scores[:a]
     assignment = [0] * n
     for key, grp in clusters.items():
         for v in grp:

@@ -2,11 +2,15 @@
 
 Endpoints and side lengths are `fractions.Fraction`, so tiling and nesting
 identities hold bit-exactly and the validation layer never needs a float
-tolerance. The floats the transforms read (`leaf_measures` and the cascade's
-square roots of split weights) come from integers: a block's measure is the
-pair (product of its sides' length numerators, product of their
-denominators), and a float is one correctly rounded integer division, bit
-for bit `float` of the exact `Fraction`. Exact measures and split weights
+tolerance. `Interval` and `refine_interval_level` compare endpoints as
+integers: a reduced endpoint is its (numerator, denominator) pair, so equality
+is equality of pairs and order is one cross-multiplication, and a level is
+sorted by float first, with exact `Fraction`s only where floats tie. The
+floats the transforms read (`leaf_measures` and the cascade's square roots
+of split weights) come from integers: a block's measure is the pair
+(product of its sides' length numerators, product of their denominators),
+and a float is one correctly rounded integer division, bit for bit `float`
+of the exact `Fraction`. Exact measures and split weights
 are built as `Fraction`s only for validation, `split_weights` and JSON.
 All objects are immutable after construction.
 """
@@ -24,6 +28,7 @@ from .errors import DepthMismatch, GapOrOverlap, NotNested, ParseError, strict_i
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_EXACT = (Fraction, int)  # endpoint types compared as integer ratios
 
 
 def as_fraction(x) -> Fraction:
@@ -39,6 +44,14 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
+def _le(x, y) -> bool:
+    """x <= y, compared on integers when both are ints or Fractions."""
+    if type(x) in _EXACT and type(y) in _EXACT:
+        (a, b), (c, d) = x.as_integer_ratio(), y.as_integer_ratio()
+        return a * d <= c * b
+    return x <= y
+
+
 @dataclass(frozen=True)
 class Interval:
     """Subinterval of [0,1] with rational endpoints and positive length."""
@@ -47,15 +60,21 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self):
-        if not (ZERO <= self.lo < self.hi <= ONE):
-            raise ValueError(f"need 0 <= lo < hi <= 1, got [{self.lo}, {self.hi}]")
+        lo, hi = self.lo, self.hi
+        if type(lo) in _EXACT and type(hi) in _EXACT:  # on integers
+            (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+            ok = 0 <= ln and ln * hd < hn * ld and hn <= hd
+        else:
+            ok = ZERO <= lo < hi <= ONE
+        if not ok:
+            raise ValueError(f"need 0 <= lo < hi <= 1, got [{lo}, {hi}]")
 
     @cached_property
     def length(self) -> Fraction:
         return self.hi - self.lo
 
     def contains(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
+        return _le(self.lo, other.lo) and _le(other.hi, self.hi)
 
     def overlap(self, other: "Interval") -> Fraction:
         return max(ZERO, min(self.hi, other.hi) - max(self.lo, other.lo))
@@ -351,45 +370,55 @@ def refine_interval_level(levels) -> HierarchicalPartition:
     interval must sit inside a single interval of the previous level
     (NotNested otherwise). Endpoints may be ints, floats, strings or
     Fractions; any other endpoint raises TypeError.
+
+    The checks compare integers. Endpoints become reduced Fractions, so two
+    are equal exactly when their (numerator, denominator) pairs are, and
+    order is one cross-multiplication. A level is sorted by (float(lo), lo,
+    hi): rounding to float is monotone, so this is the exact order, and
+    Fractions are compared only where two floats tie. No level is put over a
+    common denominator, which with float-weight chains would be thousands of
+    bits long.
     """
     if not levels:
         raise GapOrOverlap("need at least the root level")
-    norm = []
+    norm = []  # per level, (lo, hi, lo numerator, lo denominator, hi numerator, hi denominator)
     for j, level in enumerate(levels):
-        ivs = sorted((as_fraction(lo), as_fraction(hi)) for lo, hi in level)
-        for lo, hi in ivs:
-            if not lo < hi:
+        rows = [(lo, hi) + lo.as_integer_ratio() + hi.as_integer_ratio() for lo, hi in
+                ((as_fraction(lo), as_fraction(hi)) for lo, hi in level)]
+        try:  # by (float(lo), lo, hi)
+            rows = [r for _, r in sorted([(r[2] / r[3], r) for r in rows])]
+        except OverflowError:  # an endpoint beyond float range: sort exactly, then fail below
+            rows.sort()
+        for lo, hi, ln, ld, hn, hd in rows:
+            if not ln * hd < hn * ld:
                 raise GapOrOverlap(f"level {j}: empty interval [{lo}, {hi}]")
-        if ivs[0][0] != 0 or ivs[-1][1] != 1:
+        if rows[0][2] != 0 or rows[-1][4:] != (1, 1):
             raise GapOrOverlap(f"level {j} does not span [0, 1]")
-        for (_, h1), (l2, _) in zip(ivs, ivs[1:]):
-            if h1 != l2:
-                raise GapOrOverlap(f"level {j}: break at {h1} vs {l2}")
-        norm.append(ivs)
+        for r1, r2 in zip(rows, rows[1:]):
+            if r1[4:] != r2[2:4]:
+                raise GapOrOverlap(f"level {j}: break at {r1[1]} vs {r2[0]}")
+        norm.append(rows)
     if len(norm[0]) != 1:
         raise GapOrOverlap("level 0 must be the single interval [0, 1]")
 
     levels_ids, blocks, children = [], {}, {}
-    next_id = 0
-    ids_prev = []
-    for j, ivs in enumerate(norm):
-        ids = []
-        for lo, hi in ivs:
-            blocks[next_id] = Block(next_id, (Interval(lo, hi),))
-            ids.append(next_id)
-            next_id += 1
+    for j, rows in enumerate(norm):
+        ids = range(len(blocks), len(blocks) + len(rows))
+        for b, (lo, hi, *_) in zip(ids, rows):
+            blocks[b] = Block(b, (Interval(lo, hi),))
         if j > 0:
-            pi = 0
-            for cid in ids:
-                child = blocks[cid].sides[0]
-                while pi < len(ids_prev) and blocks[ids_prev[pi]].sides[0].hi <= child.lo:
+            # both levels tile [0, 1] in order, so a child starts inside the parent whose
+            # end it has not reached, and nests exactly when it ends within that parent
+            pi, (_, _, _, _, pn, pd) = 0, prev[0]
+            for cid, (lo, hi, ln, ld, hn, hd) in zip(ids, rows):
+                if (ln, ld) == (pn, pd):
                     pi += 1
-                if pi == len(ids_prev) or not blocks[ids_prev[pi]].sides[0].contains(child):
-                    raise NotNested(
-                        f"level {j}: [{child.lo}, {child.hi}] straddles level {j - 1}")
-                children.setdefault(ids_prev[pi], []).append(cid)
+                    _, _, _, _, pn, pd = prev[pi]
+                if hn * pd > pn * hd:
+                    raise NotNested(f"level {j}: [{lo}, {hi}] straddles level {j - 1}")
+                children.setdefault(prev_ids[pi], []).append(cid)
         levels_ids.append(ids)
-        ids_prev = ids
+        prev_ids, prev = ids, rows
     return HierarchicalPartition(1, levels_ids, blocks, children)
 
 

@@ -42,6 +42,7 @@ def test_lazy_restriction_equals_the_filter_over_the_full_system(g, cut):
     lazy = ah.build_system(partition, depth)
     restricted = ah.restrict_system(lazy, vbm)
     assert "atoms" not in vars(lazy)
+    assert "keys" not in vars(lazy)  # only the effective parents' keys were listed
     effective = meets_a_vertex(partition, vbm)
     assert vbm.effective == effective
     full = ah.build_system(partition, depth).atoms
