@@ -112,10 +112,12 @@ class FrameletAtom:
 
 
 def _sum_rows(index, rows, size) -> np.ndarray:
-    """The rows of `rows` (n x k) summed by `index` into a (size x k) array."""
+    """`rows` summed by `index`: a vector (n,) into (size,), or the rows of an (n x k)
+    array into (size x k) through one flat index. Each sum adds in row order, so a
+    column comes out with the bits of the same column summed alone."""
+    if rows.ndim == 1:
+        return np.bincount(index, rows, size)
     k = rows.shape[1]
-    if k == 1:  # the same sums without building a flat index
-        return np.bincount(index, rows[:, 0], size)[:, None]
     flat = (index[:, None] * k + np.arange(k)).ravel()
     return np.bincount(flat, rows.ravel(), minlength=size * k).reshape(size, k)
 
@@ -141,20 +143,24 @@ def cascade_pairs(cascade, partition, keys) -> tuple:
 
 
 def cascade_analysis(cascade, pairs, c) -> np.ndarray:
-    """Coefficients of every function from c (blocks x k), one row per cascade position.
+    """Coefficients of every function from c, one row per cascade position: a vector
+    for one signal, or one column per signal (blocks x k).
 
     The rows of blocks without children in the cascade hold their values on input;
     one bottom-up pass overwrites every other row with c_P = sum_i sqrt(b_i) c_Bi,
-    and each function then takes w1 c[pos1] - w2 c[pos2].
+    and each function then takes w1 c[pos1] - w2 c[pos2]. The weights are broadcast
+    against c once per call.
     """
     _, bounds, _, sqrt_b, local = cascade
-    for (s, e), (ps, pe), lp in zip(bounds[:0:-1], bounds[-2::-1], local[:0:-1]):
-        c[ps:pe] = _sum_rows(lp, sqrt_b[s:e, None] * c[s:e], pe - ps)
     pos1, pos2, w1, w2 = pairs[:4]
+    if c.ndim == 2:  # one column per signal: column views of the weights
+        sqrt_b, w1, w2 = sqrt_b[:, None], w1[:, None], w2[:, None]
+    for (s, e), (ps, pe), lp in zip(bounds[:0:-1], bounds[-2::-1], local[:0:-1]):
+        c[ps:pe] = _sum_rows(lp, sqrt_b[s:e] * c[s:e], pe - ps)
     out = c[pos1]
-    out *= w1[:, None]
+    out *= w1
     second = c[pos2]
-    second *= w2[:, None]
+    second *= w2
     out -= second
     return out
 
@@ -212,23 +218,29 @@ class FrameletSystem:
         return cascade_pairs(self.partition.cascade, self.partition, self.keys)
 
     def analysis(self, X) -> np.ndarray:
-        """Inner products of leaf values X (leaves x k, one column per signal) with every
-        function, scaling first: one bottom-up pass."""
-        cascade = self.partition.cascade
+        """Inner products of leaf values X with every function, scaling first: one
+        bottom-up pass. X is a vector for one signal (one value per leaf) or has one
+        column per signal (leaves x k); the result has the same shape, one row per
+        function."""
+        cascade, scale = self.partition.cascade, self.partition.leaf_scale
         _, bounds, parent, _, _ = cascade
-        c = np.empty((len(parent), X.shape[1]))
-        c[bounds[-1][0]:] = X * self.partition.leaf_scale[:, None]
+        c = np.empty((len(parent),) + X.shape[1:])
+        c[bounds[-1][0]:] = X * (scale if X.ndim == 1 else scale[:, None])
         return cascade_analysis(cascade, self.pairs, c)
 
     def synthesis(self, A) -> np.ndarray:
-        """Leaf values of the sums of the functions weighted by the columns of A (one row per
-        function, scaling first): one top-down pass, the transpose of `analysis`."""
+        """Leaf values of the sum of the functions weighted by A (one row per function,
+        scaling first): one top-down pass, the transpose of `analysis`. A is a vector
+        for one signal or has one column per signal; the result has the same shape."""
         _, bounds, parent, sqrt_b, _ = self.partition.cascade
         pos12, w12 = self.pairs[4:]
-        d = _sum_rows(pos12, w12[:, None] * np.concatenate((A, A)), len(parent))
+        scale = self.partition.leaf_scale
+        if A.ndim == 2:  # one column per signal: column views of the weights
+            sqrt_b, w12, scale = sqrt_b[:, None], w12[:, None], scale[:, None]
+        d = _sum_rows(pos12, w12 * np.concatenate((A, A)), len(parent))
         for s, e in bounds[1:]:
-            d[s:e] += sqrt_b[s:e, None] * d[parent[s:e]]
-        return d[bounds[-1][0]:] / self.partition.leaf_scale[:, None]
+            d[s:e] += sqrt_b[s:e] * d[parent[s:e]]
+        return d[bounds[-1][0]:] / scale
 
     def counts_by_level(self) -> list:
         counts = [0] * self.depth
@@ -253,7 +265,7 @@ class FrameletSystem:
         """
         _, bounds, parent, sqrt_b, local = self.partition.cascade
         pos1, pos2, w1, w2 = self.pairs[:4]
-        integrals = self.analysis(np.ones((len(self.partition.leaf_ids), 1)))[:, 0]
+        integrals = self.analysis(np.ones(len(self.partition.leaf_ids)))
         N = np.ones(len(parent))
         for (s, e), (ps, pe), lp in zip(bounds[:0:-1], bounds[-2::-1], local[:0:-1]):
             N[ps:pe] = np.bincount(lp, sqrt_b[s:e] ** 2 * N[s:e], pe - ps)
@@ -336,7 +348,7 @@ def analyze(system: FrameletSystem, f: PwcFunction) -> CoefficientVector:
     """Inner products of f against every system function, by `FrameletSystem.analysis`."""
     if f.partition != system.partition:
         raise PartitionMismatch("signal lives on a different partition")
-    c = system.analysis(f.vector[:, None])[:, 0]
+    c = system.analysis(f.vector)
     return CoefficientVector(system, float(c[0]), c[1:])
 
 
@@ -347,7 +359,7 @@ def synthesize(system: FrameletSystem, cv: CoefficientVector) -> PwcFunction:
             raise PartitionMismatch("coefficients come from a system on a different partition")
         if (cv.system.depth, cv.system.keys) != (system.depth, system.keys):
             raise IndexMismatch("coefficients indexed by a different system")
-    vec = system.synthesis(np.concatenate(([cv.c0], cv.coefficients))[:, None])[:, 0]
+    vec = system.synthesis(np.concatenate(([cv.c0], cv.coefficients)))
     return PwcFunction(system.partition, vec)
 
 

@@ -241,7 +241,7 @@ class HierarchicalPartition:
     def to_json(self) -> dict:
         blocks = []
         for b in sorted(self.blocks):
-            sides = [[s.lo.numerator, s.lo.denominator, s.hi.numerator, s.hi.denominator]
+            sides = [[*s.lo.as_integer_ratio(), *s.hi.as_integer_ratio()]
                      for s in self.blocks[b].sides]
             blocks.append({"id": b, "sides": sides})
         children = {str(p): list(kids) for p, kids in self.children.items() if kids}

@@ -150,8 +150,9 @@ def test_building_computes_no_split_weights_and_no_cascade(toy_digraph, chain_x)
 @pytest.mark.parametrize("float_weights", [False, True])
 @pytest.mark.parametrize("n", [8, 16])
 def test_one_column_transforms_equal_a_column_of_three(n, float_weights):
-    """A one-column call sums without a flat index; its bits are those of the matching
-    column of a three-column call, in both directions."""
+    """A 1-D call (one signal as a vector) and a one-column call each give the bits of
+    the matching column of a three-column call, in both directions, and `analyze` gives
+    those of a column of the batched analysis."""
     g = random_digraph(np.random.default_rng([n, int(float_weights), 61]), n, float_weights)
     partition, vbm = embed(g)
     rng = np.random.default_rng(n)
@@ -161,9 +162,17 @@ def test_one_column_transforms_equal_a_column_of_three(n, float_weights):
         for transform, Y in ((system.analysis, X), (system.synthesis, A)):
             together = transform(Y)
             for j in range(3):
-                alone = transform(Y[:, j:j + 1])
-                assert alone.shape == (len(together), 1)
-                assert alone.tobytes() == together[:, j].tobytes()
+                column = transform(Y[:, j:j + 1])
+                assert column.shape == (len(together), 1)
+                assert column.tobytes() == together[:, j].tobytes()
+                vector = transform(Y[:, j])
+                assert vector.shape == (len(together),)
+                assert vector.tobytes() == together[:, j].tobytes()
+        batched = system.analysis(X)
+        for j in range(3):
+            cv = ah.analyze(system, ah.PwcFunction(partition, X[:, j]))
+            assert cv.coefficients.tobytes() == batched[1:, j].tobytes()
+            assert np.float64(cv.c0).tobytes() == batched[0, j].tobytes()
 
 
 def exact_floats(part):

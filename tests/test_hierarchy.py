@@ -172,6 +172,25 @@ def test_json_roundtrip_dyadic():
     assert ah.HierarchicalPartition.from_json(p.to_json()) == p
 
 
+def test_json_roundtrip_float_endpoints():
+    """Float endpoints, which Interval accepts, are written as their exact integer
+    ratios: the same JSON as the equal Fraction endpoints, read back as Fractions."""
+    def split(lo, cut, hi):
+        blocks = {0: ah.Block(0, (ah.Interval(lo, hi),)), 1: ah.Block(1, (ah.Interval(lo, cut),)),
+                  2: ah.Block(2, (ah.Interval(cut, hi),))}
+        return ah.HierarchicalPartition(1, [[0], [1, 2]], blocks, {0: [1, 2]})
+
+    one = ah.HierarchicalPartition(1, [[0]], {0: ah.Block(0, (ah.Interval(0.0, 1.0),))}, {})
+    two = split(0.0, 0.375, 1.0)
+    assert ah.validate_partition(two).ok
+    for p, exact in ((one, ah.make_dyadic_partition(1, 0)), (two, split(F(0), F(3, 8), F(1)))):
+        obj = p.to_json()
+        assert obj == exact.to_json()
+        back = ah.HierarchicalPartition.from_json(obj)
+        assert back == p and back.to_json() == obj
+    assert two.to_json()["blocks"][1]["sides"] == [[0, 1, 3, 8]]
+
+
 @pytest.mark.parametrize("d, J", [(1, 4), (2, 3), (3, 2), (4, 1)])
 def test_dyadic_matches_explicit_formula(d, J):
     """Level j: the cubes prod_i [k_i/2^j, (k_i+1)/2^j], ids level by level with
