@@ -21,8 +21,8 @@ from .graphs import (Chain, Clustering, Graph, build_chain, coarse_grain,
                      default_cluster, is_weakly_connected, pad_chain,
                      symmetrize)
 from .hierarchy import (Block, HierarchicalPartition, Interval,
-                        PartitionReport, as_fraction, make_dyadic_partition,
-                        refine_interval_level, tensor_partitions,
-                        validate_partition)
+                        PartitionReport, TensorPartition, as_fraction,
+                        make_dyadic_partition, refine_interval_level,
+                        tensor_partitions, validate_partition)
 
 __version__ = "0.1.0"

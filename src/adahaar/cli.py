@@ -191,7 +191,7 @@ def _verify_checks(partition, system, vbm, rng, n_signals=20):
     worst = 0.0
     for j in range(system.depth):
         for parent in partition.levels[j]:
-            b = [num / den for num, den in partition._shares(parent)]
+            b = [num / den for num, den in partition.shares(parent)]
             if len(b) > 1:
                 A = refinement_matrix(b)
                 worst = max(worst, float(np.abs(A.T @ A - np.eye(len(b))).max()))
@@ -205,7 +205,7 @@ def _verify_checks(partition, system, vbm, rng, n_signals=20):
     expect = []
     for _, p, l1, l2 in system.keys:
         if p not in shares:
-            shares[p] = partition._shares(p)
+            shares[p] = partition.shares(p)
         (n1, d1), (n2, d2) = shares[p][l1 - 1], shares[p][l2 - 1]
         expect.append((n1 * d2 + n2 * d1) / (d1 * d2))
     worst = float(np.abs(norms[1:] - expect).max(initial=0.0))

@@ -123,7 +123,8 @@ class VertexBlockMap:
     def leaf_positions(self) -> np.ndarray:
         """Read-only position in the partition's `leaf_ids` of each vertex block, in
         `labels` order (computed once)."""
-        pos = np.array([self.partition.leaf_index[b] for b in self.blocks], dtype=np.intp)
+        leaf_position = self.partition.leaf_position
+        pos = np.array([leaf_position(b) for b in self.blocks], dtype=np.intp)
         pos.flags.writeable = False
         return pos
 
@@ -131,26 +132,18 @@ class VertexBlockMap:
     def effective(self) -> frozenset:
         """The vertex blocks and their ancestors: since children tile their parent, these
         are exactly the blocks that meet a vertex block in positive measure."""
-        parent, seen = self.partition.parent, set()
-        for b in self.blocks:
-            while b is not None and b not in seen:
-                seen.add(b)
-                b = parent.get(b)
-        return frozenset(seen)
+        return self._vertex_cascade[1]
 
     @cached_property
     def cascade(self) -> tuple:
-        """`partition.cascade_over` the effective blocks and the children of the effective
-        non-leaf blocks, level by level in id order: the part of the tree on which a
-        vertex signal or a restricted atom is not zero."""
-        part = self.partition
-        blocks = set(self.effective)
-        for b in self.effective:
-            blocks.update(part.children[b])
-        levels = [[] for _ in part.levels]
-        for b in sorted(blocks):
-            levels[part.level_of[b]].append(b)
-        return part.cascade_over(levels)
+        """The cascade of the effective blocks and the children of the effective non-leaf
+        blocks, level by level in id order: the part of the tree on which a vertex signal
+        or a restricted atom is not zero."""
+        return self._vertex_cascade[0]
+
+    @cached_property
+    def _vertex_cascade(self) -> tuple:
+        return self.partition.vertex_cascade(self.blocks)
 
     def block_of(self, label) -> int:
         try:
@@ -174,13 +167,21 @@ class VertexBlockMap:
         if repeated:
             raise ValidationError(f"vertex labels appear more than once: {repeated}")
         counts = Counter(blocks)
-        bad = sorted(b for b in counts if b not in partition.leaf_index)
+        bad = sorted(b for b in counts if not _is_leaf(partition, b))
         if bad:
             raise ValidationError(f"vertex blocks are not leaves of the partition: {bad}")
         repeated = sorted(b for b, k in counts.items() if k > 1)
         if repeated:
             raise ValidationError(f"vertex blocks shared by several labels: {repeated}")
         return cls(partition, labels, blocks)
+
+
+def _is_leaf(partition, b) -> bool:
+    try:
+        partition.leaf_position(b)
+    except KeyError:
+        return False
+    return True
 
 
 def digraph_embedding(g: Graph, chain_x: Chain, chain_y: Chain) -> tuple:
@@ -201,8 +202,8 @@ def digraph_embedding(g: Graph, chain_x: Chain, chain_y: Chain) -> tuple:
     nx = len(ex.partition.leaf_ids)
     blocks = []
     for v in range(g.n):
-        kx = ex.partition.leaf_index[ex.leaf_block(v)]
-        ky = ey.partition.leaf_index[ey.leaf_block(v)]
+        kx = ex.partition.leaf_position(ex.leaf_block(v))
+        ky = ey.partition.leaf_position(ey.leaf_block(v))
         blocks.append(tensor.leaf_ids[ky * nx + kx])
     return tensor, VertexBlockMap(tensor, tuple(g.labels), tuple(blocks))
 
@@ -263,15 +264,17 @@ def restrict_system(system: FrameletSystem, vbm: VertexBlockMap) -> FrameletSyst
     is orthogonal to it.
     """
     part, effective = system.partition, vbm.effective
-    children, level_of = part.children, part.level_of
     if system.full:
-        keys = generator_keys(part, sorted((level_of[b], b) for b in effective
-                                           if level_of[b] < system.depth))
+        parents = ((part.level(b), b) for b in effective)
+        keys = generator_keys(part, sorted(jb for jb in parents if jb[0] < system.depth))
     else:
         keys = sorted(k for k in system.keys if k[1] in effective)
-    return FrameletSystem(part, system.depth, [
-        k for k in keys
-        if children[k[1]][k[2] - 1] in effective or children[k[1]][k[3] - 1] in effective])
+    kept = []
+    for k in keys:
+        kids = part.children_of(k[1])
+        if kids[k[2] - 1] in effective or kids[k[3] - 1] in effective:
+            kept.append(k)
+    return FrameletSystem(part, system.depth, kept)
 
 
 def prune_redundant(system: FrameletSystem, vbm: VertexBlockMap) -> tuple:
@@ -285,12 +288,12 @@ def prune_redundant(system: FrameletSystem, vbm: VertexBlockMap) -> tuple:
     parent's in the input's order. Returns the thinned system and a report
     with its frame bounds and rank on the span of the vertex indicators.
     """
-    children, effective = system.partition.children, vbm.effective
+    children_of, effective = system.partition.children_of, vbm.effective
     finest = system.depth - 1
     allowed = {}  # finest parent -> the child positions its kept atoms pair
     for level, p, _, _ in system.keys:
         if level == finest and p not in allowed:
-            kids = children[p]
+            kids = children_of(p)
             ok = {pos for pos, cid in enumerate(kids, start=1) if cid in effective}
             witness = next((pos for pos in range(1, len(kids) + 1) if pos not in ok), None)
             allowed[p] = ok if witness is None else ok | {witness}

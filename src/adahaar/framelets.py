@@ -131,9 +131,12 @@ def cascade_pairs(cascade, partition, keys) -> tuple:
     synthesis scatters through pos12 = (pos1, pos2) with weights w12 = (w1, -w2).
     """
     pos, _, _, sqrt_b, _ = cascade
-    children = partition.children
-    pos1 = np.array([0] + [pos[children[p][l1 - 1]] for _, p, l1, _ in keys])
-    pos2 = np.array([0] + [pos[children[p][l2 - 1]] for _, p, _, l2 in keys])
+    children_of, pos1, pos2 = partition.children_of, [0], [0]
+    for _, p, l1, l2 in keys:
+        kids = children_of(p)
+        pos1.append(pos[kids[l1 - 1]])
+        pos2.append(pos[kids[l2 - 1]])
+    pos1, pos2 = np.array(pos1), np.array(pos2)
     w1, w2 = sqrt_b[pos2], sqrt_b[pos1]
     w2[0] = 0.0
     pairs = (pos1, pos2, w1, w2, np.concatenate((pos1, pos2)), np.concatenate((w1, -w2)))
@@ -174,8 +177,8 @@ def _pairs(m) -> tuple:
 def generator_keys(partition, parents) -> list:
     """The key of every generator of the given (level, parent id) pairs, in their order
     and, within a parent, in pair rank order."""
-    children = partition.children
-    return [(j, p, l1, l2) for j, p in parents for l1, l2 in _pairs(len(children[p]))]
+    children_of = partition.children_of
+    return [(j, p, l1, l2) for j, p in parents for l1, l2 in _pairs(len(children_of(p)))]
 
 
 class FrameletSystem:
@@ -205,9 +208,11 @@ class FrameletSystem:
     @cached_property
     def atoms(self) -> tuple:
         """A read-only `FrameletAtom` per key, built on first read."""
-        part, children = self.partition, self.partition.children
-        return tuple(FrameletAtom(part, j, p, l1, l2, children[p][l1 - 1], children[p][l2 - 1])
-                     for j, p, l1, l2 in self.keys)
+        part, atoms = self.partition, []
+        for j, p, l1, l2 in self.keys:
+            kids = part.children_of(p)
+            atoms.append(FrameletAtom(part, j, p, l1, l2, kids[l1 - 1], kids[l2 - 1]))
+        return tuple(atoms)
 
     def __len__(self):
         return 1 + len(self.keys)
@@ -301,16 +306,17 @@ class FrameletSystem:
             level, parent = key[:2]
             if key in seen:
                 raise ValidationError(f"atom {key} appears more than once")
-            if parent not in partition.level_of:
-                raise ValidationError(f"atom {key}: the partition has no block {parent}")
-            if level != partition.level_of[parent]:
-                raise ValidationError(
-                    f"atom {key}: block {parent} is at level {partition.level_of[parent]}")
+            try:
+                at = partition.level(parent)
+            except KeyError:
+                raise ValidationError(f"atom {key}: the partition has no block {parent}") from None
+            if level != at:
+                raise ValidationError(f"atom {key}: block {parent} is at level {at}")
             if level >= depth:
                 raise ValidationError(f"atom {key}: level {level} is not below depth {depth}")
             seen.add(key)
         for _, parent, l1, l2 in keys:
-            m = len(partition.children[parent])
+            m = len(partition.children_of(parent))
             if not 1 <= l1 < l2 <= m:
                 raise BadPair(f"pair ({l1}, {l2}) out of range for parent {parent} with {m} children")
         return cls(partition, depth, keys)

@@ -191,6 +191,24 @@ def test_json_roundtrip_float_endpoints():
     assert two.to_json()["blocks"][1]["sides"] == [[0, 1, 3, 8]]
 
 
+def test_float_interval_lengths_are_exact():
+    """[0.0, 1.0] = [0.0, 0.3] + [0.3, 1.0] with float endpoints tiles exactly: a length
+    is the exact difference of the endpoints' binary values, where 1.0 - 0.3 in floats
+    rounds and once left a level residual of -2**-54 and a bad parent."""
+    blocks = {0: ah.Block(0, (ah.Interval(0.0, 1.0),)), 1: ah.Block(1, (ah.Interval(0.0, 0.3),)),
+              2: ah.Block(2, (ah.Interval(0.3, 1.0),))}
+    p = ah.HierarchicalPartition(1, [[0], [1, 2]], blocks, {0: [1, 2]})
+    report = ah.validate_partition(p)
+    assert report.ok, report
+    right = blocks[2].sides[0]
+    assert right.length == F(1) - F(0.3) == ah.as_fraction(1.0) - ah.as_fraction(0.3)
+    assert right.length != F(1.0 - 0.3)
+    assert right.length_ratio == right.length.as_integer_ratio()
+    assert p.shares(0) == [(F(0.3).numerator, F(0.3).denominator),
+                           right.length.as_integer_ratio()]
+    assert sum(p.split_weights[0]) == 1
+
+
 @pytest.mark.parametrize("d, J", [(1, 4), (2, 3), (3, 2), (4, 1)])
 def test_dyadic_matches_explicit_formula(d, J):
     """Level j: the cubes prod_i [k_i/2^j, (k_i+1)/2^j], ids level by level with
