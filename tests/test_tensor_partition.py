@@ -8,7 +8,8 @@ is also what the factored partition's views are read from. Here the two are
 held to each other method by method, on the vertex cascade bit for bit and
 on their JSON, for digraph embeddings with integer and float weights (n <= 32),
 random factor tuples of one to three factors and dyadic cubes; and the
-restricted pipeline is held to building none of the views.
+restricted pipeline, reading system files, the transforms and verify's checks
+are held to building none of the views.
 """
 
 import tracemalloc
@@ -19,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import adahaar as ah
+from adahaar.cli import _verify_checks
 from adahaar.hierarchy import TensorPartition, tensor_grid
 
 from conftest import random_digraph, random_interval_levels
@@ -145,4 +147,18 @@ def test_the_restricted_pipeline_builds_no_grid():
     assert held < 6 * 2 ** 20, f"{held / 2 ** 20:.1f} MB"
     lo, hi, rank = ah.vertex_span_bounds(restricted, vbm)
     assert abs(lo - 1) <= 1e-10 and abs(hi - 1) <= 1e-10 and rank == 256
+    assert not VIEWS & set(vars(partition))
+
+
+def test_transforms_round_trips_and_checks_build_no_grid():
+    """Reading a system file, both transforms and verify's checks read the methods and
+    the factored whole-tree cascade: a product partition builds none of its views."""
+    partition, vbm = embed(random_digraph(np.random.default_rng([12, 1, 127]), 12, True))
+    rng = np.random.default_rng(127)
+    for system in systems_of(partition, vbm):
+        loaded = ah.FrameletSystem.from_json(partition, system.to_json())
+        f = ah.signal_to_function(rng.standard_normal(12), vbm)
+        ah.function_to_signal(ah.synthesize(loaded, ah.analyze(loaded, f)), vbm)
+        for v in (vbm, None):
+            assert len(list(_verify_checks(partition, loaded, v, rng, 2))) == 6
     assert not VIEWS & set(vars(partition))
