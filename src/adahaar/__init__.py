@@ -14,9 +14,9 @@ from .errors import (AdahaarError, BadClustering, BadPair, BadWeights,
                      GapOrOverlap, IndexMismatch, NotNested, ParseError,
                      PartitionMismatch, UnknownVertex, ValidationError,
                      ZeroDegreeCluster)
-from .framelets import (CoefficientVector, FrameletAtom, FrameletSystem,
-                        PwcFunction, analyze, build_system, inner_product,
-                        pair_to_flat, refinement_matrix, synthesize)
+from .framelets import (CoefficientVector, FrameletSystem, PwcFunction,
+                        analyze, build_system, inner_product,
+                        refinement_matrix, synthesize)
 from .graphs import (Chain, Clustering, Graph, build_chain, coarse_grain,
                      default_cluster, is_weakly_connected, pad_chain,
                      symmetrize)

@@ -120,14 +120,18 @@ def cmd_chain(args) -> int:
     else:
         if not args.graph:
             raise ParseError("chain needs a graph file or --explicit")
-        g = Graph.from_json(_load_json(args.graph))
+        if args.depth < 0:
+            raise ParseError(f"--depth needs a count of 0 or more, got {args.depth}")
         targets = None
         if args.target_per_level:
             try:
                 targets = [int(t) for t in args.target_per_level.split(",")]
+                if min(targets) < 1:
+                    raise ValueError
             except ValueError:
-                raise ParseError(f"--target-per-level needs comma-separated integers, "
-                                 f"got {args.target_per_level!r}") from None
+                raise ParseError(f"--target-per-level needs comma-separated cluster counts of "
+                                 f"1 or more, got {args.target_per_level!r}") from None
+        g = Graph.from_json(_load_json(args.graph))
         chain = build_chain(g, max_depth=args.depth, targets=targets)
         chain.validate()
     _write_json(args.out, chain.to_json())

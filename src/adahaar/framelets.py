@@ -7,12 +7,13 @@ indicator these form a tight frame for the span of the finest-level
 indicators; when every split is binary the system is an orthonormal basis.
 
 A function is one read-only vector of values on the finest-level blocks,
-in the partition's `leaf_ids` order. An atom is a key, a parent block and a
-pair of its children; no leaf values are stored. With c_B = (integral of f
-over B) / sqrt|B|, analysis is one bottom-up pass, c_P = sum_i sqrt(b_i) c_Bi
-with b the split weights, up to the root's c, the scaling coefficient; the
-pair (l1, l2) gets sqrt(b_l2) c_B1 - sqrt(b_l1) c_B2, a row of
-`refinement_matrix(b)`. Synthesis is the transpose, run top down.
+in the partition's `leaf_ids` order. An atom is its key (level, parent, l1,
+l2): a parent block and two of its children, whose values follow from the
+partition. With c_B = (integral of f over B) / sqrt|B|, analysis is one
+bottom-up pass, c_P = sum_i sqrt(b_i) c_Bi with b = `partition.shares(P)`,
+up to the root's c, the scaling coefficient; the pair (l1, l2) gets
+sqrt(b_l2) c_B1 - sqrt(b_l1) c_B2, a row of `refinement_matrix(b)` in the
+pair order `_pairs` gives the keys. Synthesis is the transpose, run top down.
 """
 
 from __future__ import annotations
@@ -32,22 +33,19 @@ from .hierarchy import HierarchicalPartition
 RANK_TOL = 1e-10
 
 
-def pair_to_flat(i1: int, i2: int, m: int) -> int:
-    """Rank of the pair (i1, i2), 1 <= i1 < i2 <= m, in lexicographic order.
-
-    Bijection onto 1..m(m-1)/2.
-    """
-    if not (1 <= i1 < i2 <= m):
-        raise BadPair(f"need 1 <= i1 < i2 <= m, got ({i1}, {i2}) with m={m}")
-    return (2 * m - i1) * (i1 - 1) // 2 + i2 - i1
+@cache
+def _pairs(m) -> tuple:
+    """The child pairs (l1, l2), 1 <= l1 < l2 <= m, in rank order."""
+    return tuple(combinations(range(1, m + 1), 2))
 
 
 def refinement_matrix(b) -> np.ndarray:
     """Column-orthogonal matrix coupling a parent split to its detail pairs.
 
     For m positive weights b summing to 1 the matrix has shape
-    (1 + m(m-1)/2, m): row 0 is sqrt(b), and the row of pair (i1, i2) holds
-    sqrt(b[i2]) at column i1 and -sqrt(b[i1]) at column i2. Its transpose is
+    (1 + m(m-1)/2, m): row 0 is sqrt(b), and row r, the r-th pair (i1, i2) in
+    the order `generator_keys` lists a parent's pairs, holds sqrt(b[i2]) at
+    column i1 and -sqrt(b[i1]) at column i2. Its transpose is
     a left inverse, which is what makes the generated systems tight.
     """
     b = np.asarray(b, dtype=float)
@@ -56,11 +54,9 @@ def refinement_matrix(b) -> np.ndarray:
         raise BadWeights("weights must be positive")
     if abs(b.sum() - 1.0) > 1e-12:
         raise BadWeights(f"weights sum to {b.sum()!r}, not 1")
-    n = m * (m - 1) // 2
-    A = np.zeros((n + 1, m))
+    A = np.zeros((1 + m * (m - 1) // 2, m))
     A[0] = np.sqrt(b)
-    for i1, i2 in combinations(range(1, m + 1), 2):
-        r = pair_to_flat(i1, i2, m)
+    for r, (i1, i2) in enumerate(_pairs(m), start=1):
         A[r, i1 - 1] = math.sqrt(b[i2 - 1])
         A[r, i2 - 1] = -math.sqrt(b[i1 - 1])
     return A
@@ -87,28 +83,6 @@ def inner_product(f: PwcFunction, g: PwcFunction) -> float:
         raise PartitionMismatch("functions live on different partitions")
     terms = f.vector * g.vector * f.partition.leaf_measures
     return math.fsum(terms[terms != 0.0].tolist())  # zeros add nothing; fsum is slow per term
-
-
-@dataclass(frozen=True, eq=False)
-class FrameletAtom:
-    """Generator with zero integral: sqrt(b_l2/|block1|) on block1, -sqrt(b_l1/|block2|) on block2.
-
-    l1 < l2 are 1-based positions within the parent's child list, block1 and
-    block2 the corresponding sibling block ids and b the parent's split weights.
-    A read-only view of one of `FrameletSystem.keys`; the library reads keys.
-    """
-
-    partition: HierarchicalPartition
-    level: int
-    parent: int
-    l1: int
-    l2: int
-    block1: int
-    block2: int
-
-    @property
-    def key(self) -> tuple:
-        return (self.level, self.parent, self.l1, self.l2)
 
 
 def _sum_rows(index, rows, size) -> np.ndarray:
@@ -168,12 +142,6 @@ def cascade_analysis(cascade, pairs, c) -> np.ndarray:
     return out
 
 
-@cache
-def _pairs(m) -> tuple:
-    """The child pairs (l1, l2), 1 <= l1 < l2 <= m, in rank order."""
-    return tuple(combinations(range(1, m + 1), 2))
-
-
 def generator_keys(partition, parents) -> list:
     """The key of every generator of the given (level, parent id) pairs, in their order
     and, within a parent, in pair rank order."""
@@ -205,14 +173,11 @@ class FrameletSystem:
         return tuple(generator_keys(self.partition,
                                     ((j, p) for j in range(self.depth) for p in levels[j])))
 
-    @cached_property
+    @property
     def atoms(self) -> tuple:
-        """A read-only `FrameletAtom` per key, built on first read."""
-        part, atoms = self.partition, []
-        for j, p, l1, l2 in self.keys:
-            kids = part.children_of(p)
-            atoms.append(FrameletAtom(part, j, p, l1, l2, kids[l1 - 1], kids[l2 - 1]))
-        return tuple(atoms)
+        """`keys` under its old name, kept only because the benchmark in `perfbench/`
+        reads it; the library and the tests read `keys`."""
+        return self.keys
 
     def __len__(self):
         return 1 + len(self.keys)
@@ -253,9 +218,9 @@ class FrameletSystem:
             counts[level] += 1
         return counts
 
-    def subset(self, atoms) -> "FrameletSystem":
-        """The system of the given atoms (`FrameletAtom`s, as `atoms` lists them)."""
-        return FrameletSystem(self.partition, self.depth, [a.key for a in atoms])
+    def subset(self, keys) -> "FrameletSystem":
+        """The system of the given keys, on the same partition and depth."""
+        return FrameletSystem(self.partition, self.depth, keys)
 
     def moments(self) -> tuple:
         """(integral, squared norm, cross-scale value) of every function, scaling first, from

@@ -372,11 +372,14 @@ def build_chain(g: Graph, clusterer=None, max_depth=64, targets=None) -> Chain:
     """Coarsen a connected undirected graph until a single node remains.
 
     `targets`, when given, fixes the cluster count requested from the
-    clusterer at each step (finest first). If max_depth is reached first,
+    clusterer at each step (finest first); a step's target must be below its
+    node count and at least 1. If max_depth (0 or more) is reached first,
     one final all-in-one step closes the chain.
     """
     if g.directed:
         raise ValueError("build_chain expects an undirected graph")
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be 0 or more, got {max_depth}")
     if clusterer is None:
         clusterer = default_cluster
     graphs, parents = [g], []
@@ -384,6 +387,9 @@ def build_chain(g: Graph, clusterer=None, max_depth=64, targets=None) -> Chain:
     step = 0
     while current.n > 1 and step < max_depth:
         t = targets[step] if targets is not None and step < len(targets) else None
+        if t is not None and not 1 <= t < current.n:
+            raise ValueError(f"step {step}: target {t} clusters is not in 1..{current.n - 1} "
+                             f"for {current.n} nodes")
         clustering = clusterer(current, t)
         if clustering.m >= current.n:
             parts = component_count(current)

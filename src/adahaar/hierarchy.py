@@ -10,8 +10,8 @@ floats the transforms read (`leaf_measures` and the cascade's square roots
 of split weights) come from integers: a block's measure is the pair
 (product of its sides' length numerators, product of their denominators),
 and a float is one correctly rounded integer division, bit for bit `float`
-of the exact `Fraction`. Exact measures and split weights
-are built as `Fraction`s only for validation, `split_weights` and JSON.
+of the exact `Fraction`. Exact shares are `shares(parent)`, the integer
+pairs; exact measures are built as `Fraction`s only for validation and JSON.
 All objects are immutable after construction.
 
 Two types share one interface, the methods `children_of`, `parent_of`,
@@ -22,8 +22,8 @@ return, and the only type of a 1-D factor. `tensor_partitions` returns a
 `TensorPartition`, which holds only its factors and small per-factor,
 per-level lists and answers by id arithmetic; it builds its explicit views
 (`blocks`, `children`, `parent`, `level_of`, `leaf_index`, from `tensor_grid`)
-on first read, which `to_json`, `validate_partition`, `split_weights` and
-`==` against an explicit partition do.
+on first read, which `to_json`, `validate_partition` and `==` against an
+explicit partition do.
 """
 
 from __future__ import annotations
@@ -145,11 +145,10 @@ class HierarchicalPartition:
     `children[id]` the ordered child ids of a non-leaf block. Level 0 is the
     single root block; every block is tiled exactly by its children.
     `leaf_index` (leaf id -> position) and the read-only float `leaf_measures`
-    follow the order of `leaf_ids`; `leaf_measures`, `split_weights`, `cascade`
-    and `leaf_scale` are computed on first read. The pipeline reads the tree
-    through the methods `children_of`, `parent_of`, `level`, `leaf_position`,
-    `shares` and `vertex_cascade`, which `TensorPartition` answers without the
-    dicts.
+    follow the order of `leaf_ids`; `leaf_measures`, `cascade` and `leaf_scale`
+    are computed on first read. The pipeline reads the tree through the methods
+    `children_of`, `parent_of`, `level`, `leaf_position`, `shares` and
+    `vertex_cascade`, which `TensorPartition` answers without the dicts.
     Instances are immutable; builders and `from_json` are the only intended
     constructors.
     """
@@ -207,12 +206,6 @@ class HierarchicalPartition:
                 (self.blocks[c].measure_ratio() for c in self.children[parent])]
 
     @cached_property
-    def split_weights(self) -> dict:
-        """Parent id -> exact shares |child| / |parent|, in child order (computed once)."""
-        return {p: tuple(Fraction(num, den) for num, den in self.shares(p))
-                for p, kids in self.children.items() if kids}
-
-    @cached_property
     def leaf_measures(self) -> np.ndarray:
         """Read-only float measure of each leaf, in `leaf_ids` order (computed once)."""
         mu = np.array([num / den for num, den in
@@ -234,8 +227,8 @@ class HierarchicalPartition:
         positions with -1 at the root, float sqrt(split weight) with 1 at the root, and
         per level the parent positions less the start of the level above, the root's -1
         at level 0). Positions follow `levels`, so the whole tree's leaves come last, in
-        `leaf_ids` order. The split weights are taken from the integer shares, bit for
-        bit `float` of `split_weights`, which stays unbuilt.
+        `leaf_ids` order. Each split weight is one correctly rounded division of
+        an integer share, bit for bit `float` of the exact `Fraction`.
         """
         pos = {b: i for i, b in enumerate(b for level in levels for b in level)}
         parent = [pos.get(self.parent.get(b), -1) for b in pos]
@@ -593,7 +586,7 @@ class TensorPartition(HierarchicalPartition):
     tree's `cascade` and `leaf_measures` come from the factors too, one level at a
     time. `levels` are ranges. The explicit views `blocks`, `children`, `parent`,
     `level_of` and `leaf_index` are built on first read, by `to_json`,
-    `validate_partition`, `split_weights` or any other reader of those dicts.
+    `validate_partition` or any other reader of those dicts.
     """
 
     blocks = _view("blocks")

@@ -1,8 +1,8 @@
 """Dense oracles for the framelet transforms, read off the partition tree.
 
-`leaves_under` walks `children`, and `atom_vector` builds an atom's leaf
-values from exact Fraction measures, the way atoms once stored them: every
-leaf under a child carries that child's height,
+`leaves_under` walks `children`, and `atom_vector` builds the leaf values
+of an atom, named by its key, from exact Fraction measures, the way atoms
+once stored them: every leaf under a child carries that child's height,
 sqrt((|sibling| / |parent|) / |child|), negative on the second child; none
 of these run the cascade. `function_matrix`, `gram_matrix`, `frame_bounds`
 and `dense_moments` are the atoms x leaves computations the library dropped;
@@ -36,12 +36,17 @@ def scaling_vector(part):
     return np.full(len(part.leaf_ids), height)
 
 
-def atom_vector(a):
-    """Leaf values of atom a, from its key and exact measures; exact before the sqrt."""
-    part = a.partition
-    kids = part.children[a.parent]
-    b1, b2 = kids[a.l1 - 1], kids[a.l2 - 1]
-    pm = exact_measure(part.blocks[a.parent])
+def atom_blocks(part, key):
+    """The child blocks (block1, block2) of the atom with key (level, parent, l1, l2)."""
+    _, parent, l1, l2 = key
+    kids = part.children_of(parent)
+    return kids[l1 - 1], kids[l2 - 1]
+
+
+def atom_vector(part, key):
+    """Leaf values of the atom with this key, from exact measures; exact before the sqrt."""
+    b1, b2 = atom_blocks(part, key)
+    pm = exact_measure(part.blocks[key[1]])
     m1, m2 = exact_measure(part.blocks[b1]), exact_measure(part.blocks[b2])
     vec = np.zeros(len(part.leaf_ids))
     vec[[part.leaf_index[leaf] for leaf in leaves_under(part, b1)]] = math.sqrt(float((m2 / pm) / m1))
@@ -51,7 +56,8 @@ def atom_vector(a):
 
 def dense_matrix(system):
     """The scaling row, then one atom_vector row per atom."""
-    return np.vstack([scaling_vector(system.partition)] + [atom_vector(a) for a in system.atoms])
+    part = system.partition
+    return np.vstack([scaling_vector(part)] + [atom_vector(part, key) for key in system.keys])
 
 
 def function_matrix(system):
@@ -70,7 +76,7 @@ def dense_moments(system, F):
     and each function's largest |inner product| with a function of a coarser level."""
     mu = system.partition.leaf_measures
     G = (F * mu) @ F.T
-    levels = np.array([-1] + [a.level for a in system.atoms])  # -1: scaling function
+    levels = np.array([-1] + [key[0] for key in system.keys])  # -1: scaling function
     coarser = levels[:, None] < levels[None, :]
     return F @ mu, np.diag(G).copy(), np.where(coarser, np.abs(G), 0.0).max(axis=0)
 

@@ -15,7 +15,7 @@ import adahaar as ah
 
 from conftest import (GX_LEAVES, GY_LEAVES, VERTICES, chain_from_sets, functions,
                       random_interval_levels)
-from oracles import function_matrix, gram_matrix, leaves_under
+from oracles import atom_blocks, function_matrix, gram_matrix, leaves_under
 from test_cli import run_cli, run_pipeline
 
 
@@ -62,22 +62,23 @@ def test_criterion_2_interval_system_golden(chain_x):
     system = ah.build_system(part)
     size_ok = len(system) == 7
 
-    a0 = system.atoms[0]
     rows = function_matrix(system)[1:]
-    first_leaf = leaves_under(part, a0.block1)[0]
-    last_leaf = leaves_under(part, a0.block2)[0]
+    b1, b2 = atom_blocks(part, system.keys[0])
+    first_leaf = leaves_under(part, b1)[0]
+    last_leaf = leaves_under(part, b2)[0]
     atom0_ok = (abs(rows[0][part.leaf_index[first_leaf]] - math.sqrt(3)) <= 1e-12
                and abs(rows[0][part.leaf_index[last_leaf]] + 1 / math.sqrt(3)) <= 1e-12)
 
     # second atom recomputed through the exact rational oracle: the squared
     # values must be the sibling/child measure ratios, independent of any
     # printed coefficients
-    a1 = system.atoms[1]
-    pm = part.blocks[a1.parent].measure
-    sq1 = (part.blocks[a1.block2].measure / pm) / part.blocks[a1.block1].measure
-    sq2 = (part.blocks[a1.block1].measure / pm) / part.blocks[a1.block2].measure
-    v1 = rows[1][part.leaf_index[leaves_under(part, a1.block1)[0]]]
-    v2 = rows[1][part.leaf_index[leaves_under(part, a1.block2)[0]]]
+    key = system.keys[1]
+    b1, b2 = atom_blocks(part, key)
+    pm = part.blocks[key[1]].measure
+    sq1 = (part.blocks[b2].measure / pm) / part.blocks[b1].measure
+    sq2 = (part.blocks[b1].measure / pm) / part.blocks[b2].measure
+    v1 = rows[1][part.leaf_index[leaves_under(part, b1)[0]]]
+    v2 = rows[1][part.leaf_index[leaves_under(part, b2)[0]]]
     atom1_ok = (v1 > 0 > v2
                and abs(v1 * v1 - float(sq1)) <= 1e-14
                and abs(v2 * v2 - float(sq2)) <= 1e-13 * float(sq2)
@@ -181,15 +182,15 @@ def test_criterion_6_structural_invariants(toy_system, interval_system):
                    ah.build_system(ah.make_dyadic_partition(2, 2))):
         part = system.partition
         mu = np.array([float(part.blocks[b].measure) for b in part.leaf_ids])
-        for a, row in zip(system.atoms, function_matrix(system)[1:]):
+        for key, row in zip(system.keys, function_matrix(system)[1:]):
             worst_int = max(worst_int, abs(float(row @ mu)))
-            expected = set(leaves_under(part, a.block1)) | set(leaves_under(part, a.block2))
+            b1, b2 = atom_blocks(part, key)
+            expected = set(leaves_under(part, b1)) | set(leaves_under(part, b2))
             got = {part.leaf_ids[i] for i in np.flatnonzero(row != 0.0)}
-            siblings = (part.parent[a.block1] == a.parent == part.parent[a.block2]
-                        and a.block1 != a.block2)
+            siblings = part.parent[b1] == key[1] == part.parent[b2] and b1 != b2
             support_ok = support_ok and got == expected and siblings
         G = gram_matrix(system)
-        levels = [-1] + [a.level for a in system.atoms]
+        levels = [-1] + [key[0] for key in system.keys]
         for i in range(len(levels)):
             for j in range(i + 1, len(levels)):
                 if levels[i] != levels[j]:

@@ -1,13 +1,14 @@
 """Atoms as keys: function rows, split weights, leaf measures and leaf positions
 against exact oracles.
 
-A system is its keys; `system.atoms` is a read-only view built on first read.
-An atom stores its key and its two child blocks; its values follow from the
-partition's split weights. The dense rows of `oracles.dense_matrix` are built
-from exact Fraction measures the way atoms once stored them: every leaf
-under a child carries that child's height. The function matrix is the
-cascade's synthesis of the unit coefficient vectors, so it matches those
-rows to within 1e-14 of each row's largest entry, not bit for bit.
+A system is its keys, one (level, parent, l1, l2) int tuple per atom; an
+atom's blocks are children l1 and l2 of its parent, and its values follow
+from the parent's split weights, `partition.shares(parent)`. The dense rows
+of `oracles.dense_matrix` are built from exact Fraction measures the way
+atoms once stored them: every leaf under a child carries that child's
+height. The function matrix is the cascade's synthesis of the unit
+coefficient vectors, so it matches those rows to within 1e-14 of each row's
+largest entry, not bit for bit.
 """
 
 import io
@@ -22,8 +23,8 @@ import adahaar as ah
 from adahaar.cli import _verify_checks
 from adahaar.framelets import coefficients_from_csv, coefficients_to_csv
 from conftest import random_digraph
-from oracles import (atom_vector, dense_matrix, exact_measure, function_matrix, leaves_under,
-                     scaling_vector)
+from oracles import (atom_blocks, atom_vector, dense_matrix, exact_measure, function_matrix,
+                     leaves_under, scaling_vector)
 from test_cascade import embed
 
 
@@ -31,11 +32,11 @@ def check_system(system):
     part = system.partition
     Fm, rows = function_matrix(system), dense_matrix(system)
     assert np.all(np.abs(Fm - rows).max(axis=1) <= 1e-14 * np.abs(rows).max(axis=1))
-    for a in system.atoms:
-        kids = part.children[a.parent]
-        assert (a.block1, a.block2) == (kids[a.l1 - 1], kids[a.l2 - 1])
-        assert not any(isinstance(v, (dict, ah.PwcFunction)) for v in vars(a).values())
-        assert set(vars(a)) == {"partition", "level", "parent", "l1", "l2", "block1", "block2"}
+    assert system.atoms is system.keys  # the old name, for the benchmark only
+    for key in system.keys:
+        assert type(key) is tuple and len(key) == 4 and all(type(x) is int for x in key)
+        level, parent, l1, l2 = key
+        assert part.level(parent) == level and 1 <= l1 < l2 <= len(part.children[parent])
     check_inner_products(system)
 
 
@@ -46,10 +47,10 @@ def check_inner_products(system):
     mu = part.leaf_measures
     signal = ah.PwcFunction(part, np.random.default_rng(len(mu)).standard_normal(len(mu)))
     scaling = ah.PwcFunction(part, scaling_vector(part))
-    for a in system.atoms:
-        f = ah.PwcFunction(part, atom_vector(a))
+    for key in system.keys:
+        f = ah.PwcFunction(part, atom_vector(part, key))
         support = [part.leaf_index[leaf]
-                   for b in (a.block1, a.block2) for leaf in leaves_under(part, b)]
+                   for b in atom_blocks(part, key) for leaf in leaves_under(part, b)]
         for g in (f, signal, scaling):
             expect = math.fsum(f.vector[i] * g.vector[i] * mu[i] for i in support)
             assert ah.inner_product(f, g) == expect
@@ -57,14 +58,16 @@ def check_inner_products(system):
 
 
 def check_split_weights(part):
-    """One exact share per child, |child| / |parent|, summing to exactly 1."""
-    weights = part.split_weights
-    assert weights is part.split_weights  # computed once
-    assert set(weights) == {p for p, kids in part.children.items() if kids}
-    for p, b in weights.items():
+    """One exact share per child, |child| / |parent| as a pair of integers, summing
+    to exactly 1."""
+    for p, kids in part.children.items():
+        if not kids:
+            continue
+        shares = part.shares(p)
+        assert all(type(x) is int for pair in shares for x in pair)
+        b = tuple(F(num, den) for num, den in shares)
         pm = exact_measure(part.blocks[p])
-        assert b == tuple(exact_measure(part.blocks[c]) / pm for c in part.children[p])
-        assert all(isinstance(x, F) for x in b)
+        assert b == tuple(exact_measure(part.blocks[c]) / pm for c in kids)
         assert sum(b) == 1
 
 
@@ -115,27 +118,28 @@ def test_random_digraph_systems_match_exact_rows(n, float_weights):
 
 
 def test_split_weights_wait_for_the_first_height(chain_x):
-    """Building or loading atoms does no measure arithmetic. The first transform
+    """Building or loading a system does no measure arithmetic. The first transform
     builds the cascade, whose weights come from integer shares, and still no exact
-    split weights: those wait for a caller that reads them."""
+    `Fraction` measure of a block: those wait for a caller that reads them."""
     part = ah.chain_to_intervals(chain_x).partition
     system = ah.build_system(part)
     loaded = ah.FrameletSystem.from_json(part, system.to_json())
-    assert [a.key for a in loaded.atoms] == [a.key for a in system.atoms]
-    assert not {"split_weights", "cascade"} & set(vars(part))
+    assert loaded.keys == system.keys
+    assert "cascade" not in vars(part)
     w1, w2 = system.pairs[2:4]
-    assert "cascade" in vars(part) and "split_weights" not in vars(part)
+    assert "cascade" in vars(part)
+    assert not any("measure" in vars(blk) for blk in part.blocks.values())
     assert np.all(w1 > 0) and w2[0] == 0 and np.all(w2[1:] > 0)
 
 
 def test_the_pipeline_reads_keys_and_builds_no_atom():
     """Build, restrict, prune, the JSON and coefficient CSV round trips, both transforms
-    and verify's checks read each system's keys; none of them builds `system.atoms`."""
+    and verify's checks read each system's keys, the one form of its atoms, and agree
+    bit for bit between a system and its file-read copy."""
     n = 12
     partition, vbm = embed(random_digraph(np.random.default_rng([n, 1, 97]), n, True))
-    systems = list(systems_of(partition, vbm))
     rng = np.random.default_rng(97)
-    for system in list(systems):
+    for system in systems_of(partition, vbm):
         loaded = ah.FrameletSystem.from_json(partition, json.loads(json.dumps(system.to_json())))
         assert loaded.keys == system.keys and loaded.counts_by_level() == system.counts_by_level()
         cv = ah.analyze(loaded, ah.signal_to_function(rng.standard_normal(n), vbm))
@@ -148,5 +152,3 @@ def test_the_pipeline_reads_keys_and_builds_no_atom():
         assert g1.vector.tobytes() == g2.vector.tobytes()
         checks = list(_verify_checks(partition, loaded, vbm, np.random.default_rng(0), 2))
         assert len(checks) == 6
-        systems.append(loaded)
-    assert all("atoms" not in vars(s) for s in systems)

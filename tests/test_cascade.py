@@ -9,6 +9,8 @@ test, for the full, restricted and pruned systems. Transforms agree within
 1e-14 relative to the norm, moments within 1e-14 absolute.
 """
 
+from fractions import Fraction as F
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -133,12 +135,12 @@ def test_building_computes_no_split_weights_and_no_cascade(toy_digraph, chain_x)
     square, vbm = ah.digraph_embedding(toy_digraph, chain_x, chain_x)
     restricted = ah.restrict_system(ah.build_system(square), vbm)
     for p in (part, square):
-        assert not {"split_weights", "cascade", "leaf_scale"} & set(vars(p))
+        assert not {"cascade", "leaf_scale"} & set(vars(p))
     for s in (system, loaded, restricted):
         assert "pairs" not in vars(s)
     assert "leaf_positions" not in vars(vbm)
     ah.analyze(restricted, ah.signal_to_function(np.ones(len(vbm.labels)), vbm))
-    assert {"cascade", "leaf_scale"} <= set(vars(square)) and "split_weights" not in vars(square)
+    assert {"cascade", "leaf_scale"} <= set(vars(square))
     assert "pairs" in vars(restricted) and "leaf_positions" in vars(vbm)
     assert square.cascade is square.cascade and restricted.pairs is restricted.pairs
     assert square.leaf_scale is square.leaf_scale and vbm.leaf_positions is vbm.leaf_positions
@@ -177,14 +179,16 @@ def test_one_column_transforms_equal_a_column_of_three(n, float_weights):
 
 def exact_floats(part):
     """leaf_measures and cascade weights rounded from the exact Block.measure and
-    split_weights, which must equal the oracle's products of side lengths."""
+    shares, which must equal the oracle's products of side lengths."""
     pos = part.cascade[0]
     for blk in part.blocks.values():
         assert blk.measure == exact_measure(blk)
     mu = np.array([float(part.blocks[b].measure) for b in part.leaf_ids])
     sqrt_b = np.ones(len(pos))
-    for p, b in part.split_weights.items():
-        kids = part.children[p]
+    for p, kids in part.children.items():
+        if not kids:
+            continue
+        b = tuple(F(num, den) for num, den in part.shares(p))
         assert b == tuple(part.blocks[c].measure / part.blocks[p].measure for c in kids)
         sqrt_b[[pos[c] for c in kids]] = np.sqrt([float(x) for x in b])
     return mu, sqrt_b

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
@@ -323,8 +324,9 @@ def agree(got, want):
 def residuals(system, integrals, norms, cross):
     """The residuals of verify's vanishing_moments, atom_norms and cross_scale_orthogonality,
     from integrals, squared norms and cross-scale values."""
-    b = system.partition.split_weights
-    expect = [float(b[a.parent][a.l1 - 1] + b[a.parent][a.l2 - 1]) for a in system.atoms]
+    shares = system.partition.shares
+    expect = [float(F(*shares(p)[l1 - 1]) + F(*shares(p)[l2 - 1]))
+              for _, p, l1, l2 in system.keys]
     return {"vanishing_moments": float(np.abs(integrals[1:]).max(initial=0.0)),
             "atom_norms": float(np.abs(norms[1:] - expect).max(initial=0.0)),
             "cross_scale_orthogonality": float(cross.max())}
@@ -345,7 +347,7 @@ def test_cross_scale_check_matches_pairwise_loop(toy_system, toy_embedding):
     failed = 0
     for system in systems + [bad for s in systems for bad in corruptions(s, rng, 3)]:
         G = gram_matrix(system)
-        levels = [-1] + [a.level for a in system.atoms]
+        levels = [-1] + [key[0] for key in system.keys]
         worst = 0.0
         for i in range(len(levels)):
             for k in range(i + 1, len(levels)):
@@ -388,8 +390,7 @@ def test_moment_checks_fail_exactly_when_the_dense_checks_do():
 
 def test_verify_checks_build_no_dense_matrix():
     """At n=32 the full system has about 3000 functions on 1024 leaves, so its function
-    matrix alone is about 25 MB and its Gram matrix about 80 MB. The checks read integer
-    shares, so the exact split weights stay unbuilt."""
+    matrix alone is about 25 MB and its Gram matrix about 80 MB."""
     g = random_digraph(np.random.default_rng([32, 0, 59]), 32, False)
     partition, vbm = embed(g)
     system = ah.build_system(partition)
@@ -402,7 +403,6 @@ def test_verify_checks_build_no_dense_matrix():
         tracemalloc.stop()
     assert all(oks) and len(system) > 2500
     assert peak < 8 * 2 ** 20, peak
-    assert "split_weights" not in vars(partition)
 
 
 @pytest.mark.parametrize("field, value", [("directed", "false"), ("labels", "abcdef")])
@@ -589,6 +589,35 @@ def test_non_integer_target_per_level_exit_2(workdir):
                 "--out", out / "chain.json")
     assert r.returncode == 2, r.stdout + r.stderr
     assert "--target-per-level" in r.stderr and "'a,b'" in r.stderr
+    assert not (out / "chain.json").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--depth", "-3"), ("--target-per-level", "0,1"),
+                                         ("--target-per-level", "-2")])
+def test_chain_counts_below_range_exit_2(workdir, capsys, flag, value):
+    """A negative depth or a cluster count below 1 is a parse error that names the
+    flag, not a depth-1 chain."""
+    out = workdir / "sym"
+    assert cli.main(["symmetrize", str(workdir / "digraph.json"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["chain", str(out / "gx.json"), flag, value,
+                     "--out", str(out / "chain.json")]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and value in err, err
+    assert not (out / "chain.json").exists()
+
+
+def test_chain_target_not_below_the_node_count_exit_3(workdir, capsys):
+    """A target of 10 clusters for the 6 nodes of the finest graph names the step,
+    the target and the node count, not a clusterer that returned too many clusters."""
+    out = workdir / "sym"
+    assert cli.main(["symmetrize", str(workdir / "digraph.json"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["chain", str(out / "gx.json"), "--target-per-level", "10",
+                     "--out", str(out / "chain.json")]) == 3
+    err = capsys.readouterr().err
+    assert "step 0: target 10 clusters" in err and "for 6 nodes" in err, err
+    assert "clusterer returned" not in err
     assert not (out / "chain.json").exists()
 
 

@@ -9,7 +9,7 @@ from adahaar import (DepthMismatch, PartitionMismatch, UnknownVertex, Validation
                      ZeroDegreeCluster)
 
 from conftest import GX_LEAVES, GY_LEAVES, VERTICES, functions, indicator
-from oracles import frame_bounds
+from oracles import atom_blocks, frame_bounds
 
 
 def interval_of(partition, block_id):
@@ -220,9 +220,9 @@ def test_restrict_keeps_everything_when_vertices_cover_leaves():
     vbm = ah.VertexBlockMap(p, ("p", "q", "r", "s"), tuple(p.leaf_ids))
     sys_ = ah.build_system(p)
     restricted = ah.restrict_system(sys_, vbm)
-    assert [a.key for a in restricted.atoms] == [a.key for a in sys_.atoms]
+    assert restricted.keys == sys_.keys
     pruned, report = ah.prune_redundant(restricted, vbm)
-    assert [a.key for a in pruned.atoms] == [a.key for a in restricted.atoms]
+    assert pruned.keys == restricted.keys
     assert report["rank"] == 4
 
 
@@ -262,9 +262,9 @@ def test_prune_counts_and_rank(toy_system, toy_embedding):
     # kept finest atoms all touch an effective child
     part = toy_system.partition
     vblocks = [part.blocks[b] for b in vbm.blocks]
-    for a in pruned.atoms:
-        if a.level == pruned.depth - 1:
-            support = [part.blocks[a.block1], part.blocks[a.block2]]
+    for key in pruned.keys:
+        if key[0] == pruned.depth - 1:
+            support = [part.blocks[b] for b in atom_blocks(part, key)]
             assert any(s.intersection_measure(v) > 0 for s in support for v in vblocks)
 
 

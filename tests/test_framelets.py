@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import adahaar as ah
-from adahaar import BadPair, BadWeights, DegenerateSpan, IndexMismatch, PartitionMismatch
+from adahaar import BadWeights, DegenerateSpan, IndexMismatch, PartitionMismatch
 
 from conftest import functions, indicator, random_interval_levels
-from oracles import (atom_vector, frame_bounds, function_matrix, gram_matrix, leaves_under,
-                     scaling_vector)
+from oracles import (atom_blocks, atom_vector, frame_bounds, function_matrix, gram_matrix,
+                     leaves_under, scaling_vector)
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -52,20 +52,19 @@ def test_refinement_matrix_random_orthogonality():
         assert np.abs(A.T @ A - np.eye(m)).max() <= 1e-12
 
 
-def test_pair_rank_matches_enumeration():
-    # oracle: lexicographic enumeration of all pairs
-    for m in range(2, 9):
-        for rank, (i1, i2) in enumerate(combinations(range(1, m + 1), 2), start=1):
-            assert ah.pair_to_flat(i1, i2, m) == rank
-    assert ah.pair_to_flat(1, 2, 4) == 1
-    assert ah.pair_to_flat(3, 4, 4) == 6
-    assert ah.pair_to_flat(2, 4, 5) == 6
-
-
-def test_pair_rank_rejects_bad_pairs():
-    for bad in [(2, 2, 4), (3, 2, 4), (0, 1, 4), (1, 5, 4)]:
-        with pytest.raises(BadPair):
-            ah.pair_to_flat(*bad)
+def test_refinement_rows_follow_generator_keys():
+    """Row r of refinement_matrix(b) is the r-th generator `generator_keys` lists for a
+    parent with m children: nonzero exactly at columns l1 - 1 and l2 - 1."""
+    for m in range(2, 8):
+        cuts = [F(k, m) for k in range(m + 1)]
+        part = ah.refine_interval_level([[(0, 1)], list(zip(cuts, cuts[1:]))])
+        keys = ah.framelets.generator_keys(part, [(0, part.root)])
+        A = ah.refinement_matrix([num / den for num, den in part.shares(part.root)])
+        assert A.shape == (1 + len(keys), m) and len(keys) == m * (m - 1) // 2
+        assert np.all(A[0] > 0)
+        for row, (_, _, l1, l2) in zip(A[1:], keys):
+            assert np.flatnonzero(row).tolist() == [l1 - 1, l2 - 1]
+            assert row[l1 - 1] > 0 > row[l2 - 1]
 
 
 # ---------------------------------------------------------------- generators
@@ -75,32 +74,27 @@ def leaf_interval(partition, leaf):
     return (s.lo, s.hi)
 
 
-def atom_by_key(system, level, parent_interval):
-    out = [a for a in system.atoms if a.level == level]
-    return out
-
-
 def test_toy_atom_values(interval_system):
     # depth-3 system on the 1-D toy embedding: 7 functions in total
     sys_ = interval_system
     assert len(sys_) == 7
     part = sys_.partition
-    atoms = sys_.atoms
+    keys = sys_.keys
     rows = function_matrix(sys_)[1:]
-    assert [a.level for a in atoms] == [0, 1, 2, 2, 2, 2]
+    assert [key[0] for key in keys] == [0, 1, 2, 2, 2, 2]
 
-    a0 = atoms[0]  # root split [0,1/4) vs [1/4,1]
-    for leaf in leaves_under(part, a0.block1):
+    b1, b2 = atom_blocks(part, keys[0])  # root split [0,1/4) vs [1/4,1]
+    for leaf in leaves_under(part, b1):
         assert abs(rows[0][part.leaf_index[leaf]] - SQ3) <= 1e-12
-    for leaf in leaves_under(part, a0.block2):
+    for leaf in leaves_under(part, b2):
         assert abs(rows[0][part.leaf_index[leaf]] + 1 / SQ3) <= 1e-12
 
-    a5 = atoms[5]  # ternary split, last pair: equal halves of [7/12, 11/12)
+    b1, b2 = atom_blocks(part, keys[5])  # ternary split, last pair: equal halves of [7/12, 11/12)
     v = math.sqrt(1.5)
-    assert leaf_interval(part, a5.block1) == (F(7, 12), F(3, 4))
-    assert leaf_interval(part, a5.block2) == (F(3, 4), F(11, 12))
-    assert abs(rows[5][part.leaf_index[a5.block1]] - v) <= 1e-12
-    assert abs(rows[5][part.leaf_index[a5.block2]] + v) <= 1e-12
+    assert leaf_interval(part, b1) == (F(7, 12), F(3, 4))
+    assert leaf_interval(part, b2) == (F(3, 4), F(11, 12))
+    assert abs(rows[5][part.leaf_index[b1]] - v) <= 1e-12
+    assert abs(rows[5][part.leaf_index[b2]] + v) <= 1e-12
 
 
 def test_toy_atom_rational_oracle(interval_system):
@@ -112,14 +106,15 @@ def test_toy_atom_rational_oracle(interval_system):
     """
     sys_ = interval_system
     part = sys_.partition
-    for a, row in zip(sys_.atoms, function_matrix(sys_)[1:]):
-        pm = part.blocks[a.parent].measure
-        m1 = part.blocks[a.block1].measure
-        m2 = part.blocks[a.block2].measure
+    for key, row in zip(sys_.keys, function_matrix(sys_)[1:]):
+        b1, b2 = atom_blocks(part, key)
+        pm = part.blocks[key[1]].measure
+        m1 = part.blocks[b1].measure
+        m2 = part.blocks[b2].measure
         sq1 = (m2 / pm) / m1
         sq2 = (m1 / pm) / m2
-        v1 = row[part.leaf_index[leaves_under(part, a.block1)[0]]]
-        v2 = row[part.leaf_index[leaves_under(part, a.block2)[0]]]
+        v1 = row[part.leaf_index[leaves_under(part, b1)[0]]]
+        v2 = row[part.leaf_index[leaves_under(part, b2)[0]]]
         assert v1 > 0 > v2
         assert abs(v1 * v1 - float(sq1)) <= 1e-14 * max(1.0, float(sq1))
         assert abs(v2 * v2 - float(sq2)) <= 1e-14 * max(1.0, float(sq2))
@@ -128,14 +123,15 @@ def test_toy_atom_rational_oracle(interval_system):
 def test_toy_second_atom_printed_coefficients(interval_system):
     # the level-1 atom has values 1/sqrt(6) and -8/sqrt(6): squares 1/6, 32/3
     part = interval_system.partition
-    a1 = interval_system.atoms[1]
-    assert leaf_interval(part, a1.block1) == (F(1, 4), F(11, 12))
-    assert leaf_interval(part, a1.block2) == (F(11, 12), F(1))
-    pm = part.blocks[a1.parent].measure
-    assert (part.blocks[a1.block2].measure / pm) / part.blocks[a1.block1].measure == F(1, 6)
-    assert (part.blocks[a1.block1].measure / pm) / part.blocks[a1.block2].measure == F(32, 3)
-    leaf1 = leaves_under(part, a1.block1)[0]
-    leaf2 = leaves_under(part, a1.block2)[0]
+    key = interval_system.keys[1]
+    b1, b2 = atom_blocks(part, key)
+    assert leaf_interval(part, b1) == (F(1, 4), F(11, 12))
+    assert leaf_interval(part, b2) == (F(11, 12), F(1))
+    pm = part.blocks[key[1]].measure
+    assert (part.blocks[b2].measure / pm) / part.blocks[b1].measure == F(1, 6)
+    assert (part.blocks[b1].measure / pm) / part.blocks[b2].measure == F(32, 3)
+    leaf1 = leaves_under(part, b1)[0]
+    leaf2 = leaves_under(part, b2)[0]
     row = function_matrix(interval_system)[2]
     assert abs(row[part.leaf_index[leaf1]] - 1 / math.sqrt(6)) <= 1e-12
     assert abs(row[part.leaf_index[leaf2]] + 8 / math.sqrt(6)) <= 1e-12
@@ -152,12 +148,13 @@ def test_generators_dyadic_square():
     # equal quarter split: six generators with values exactly +-1
     p = ah.make_dyadic_partition(2, 1)
     system = ah.FrameletSystem(p, 1, generator_keys(p, p.root))
-    atoms = system.atoms
-    assert len(atoms) == 6
-    assert [(a.l1, a.l2) for a in atoms] == list(combinations(range(1, 5), 2))
-    for a, row in zip(atoms, function_matrix(system)[1:]):
-        assert abs(row[p.leaf_index[a.block1]] - 1.0) <= 1e-15
-        assert abs(row[p.leaf_index[a.block2]] + 1.0) <= 1e-15
+    keys = system.keys
+    assert len(keys) == 6
+    assert [(l1, l2) for _, _, l1, l2 in keys] == list(combinations(range(1, 5), 2))
+    for key, row in zip(keys, function_matrix(system)[1:]):
+        b1, b2 = atom_blocks(p, key)
+        assert abs(row[p.leaf_index[b1]] - 1.0) <= 1e-15
+        assert abs(row[p.leaf_index[b2]] + 1.0) <= 1e-15
 
 
 def test_build_system_sizes(toy_system, interval_system):
@@ -220,7 +217,8 @@ def test_analyze_scaling_function(toy_system):
 
 def test_analyze_single_atom_of_binary_level(interval_system):
     f = ah.PwcFunction(interval_system.partition,
-                       atom_vector(interval_system.atoms[0]))  # the only level-0 atom, unit norm
+                       atom_vector(interval_system.partition,
+                                   interval_system.keys[0]))  # the only level-0 atom, unit norm
     cv = ah.analyze(interval_system, f)
     assert abs(cv.c0) <= 1e-12
     assert abs(cv.coefficients[0] - 1.0) <= 1e-12
@@ -243,10 +241,10 @@ def test_parseval_and_reconstruction_random(toy_system):
 
 def test_synthesize_trivial_cases(toy_system):
     zero = ah.synthesize(toy_system, ah.CoefficientVector(
-        toy_system, 0.0, np.zeros(len(toy_system.atoms))))
+        toy_system, 0.0, np.zeros(len(toy_system.keys))))
     assert np.abs(zero.vector).max() == 0.0
     phi = ah.synthesize(toy_system, ah.CoefficientVector(
-        toy_system, 1.0, np.zeros(len(toy_system.atoms))))
+        toy_system, 1.0, np.zeros(len(toy_system.keys))))
     assert np.allclose(phi.vector, scaling_vector(toy_system.partition), atol=1e-15)
 
 
@@ -270,7 +268,7 @@ def test_synthesize_rejects_coefficients_from_another_partition():
     twin = ah.FrameletSystem.from_json(dyadic, s1.to_json())
     assert ah.synthesize(twin, cv).vector.tobytes() == ah.synthesize(s1, cv).vector.tobytes()
     with pytest.raises(IndexMismatch):
-        ah.synthesize(s1.subset(s1.atoms[1:]), cv)
+        ah.synthesize(s1.subset(s1.keys[1:]), cv)
 
 
 # ---------------------------------------------------------------- linear structure
@@ -323,7 +321,7 @@ def test_atoms_reproduce_their_span(interval_system):
 
 def test_cross_scale_orthogonality_and_moments(toy_system):
     G = gram_matrix(toy_system)
-    levels = [-1] + [a.level for a in toy_system.atoms]
+    levels = [-1] + [key[0] for key in toy_system.keys]
     n = len(levels)
     for i in range(n):
         for j in range(i + 1, n):
@@ -337,9 +335,9 @@ def test_cross_scale_orthogonality_and_moments(toy_system):
 
 def test_atom_norm_equals_weight_sum(toy_system):
     part = toy_system.partition
-    for a, f in zip(toy_system.atoms, functions(toy_system)[1:]):
-        pm = part.blocks[a.parent].measure
-        expect = (part.blocks[a.block1].measure + part.blocks[a.block2].measure) / pm
+    for key, f in zip(toy_system.keys, functions(toy_system)[1:]):
+        pm = part.blocks[key[1]].measure
+        expect = sum(part.blocks[b].measure for b in atom_blocks(part, key)) / pm
         assert abs(ah.inner_product(f, f) - float(expect)) <= 1e-12
 
 
@@ -400,7 +398,7 @@ def test_frame_bounds_tight_on_leaf_span():
 def test_frame_bounds_drop_below_one_without_an_atom(interval_system):
     part = interval_system.partition
     space = [indicator(part, [b]) for b in part.leaf_ids]
-    crippled = interval_system.subset(interval_system.atoms[1:])  # drop the unit-norm one
+    crippled = interval_system.subset(interval_system.keys[1:])  # drop the unit-norm one
     lo, _ = frame_bounds(functions(crippled), space)
     assert lo < 1.0 - 1e-6
 
@@ -417,7 +415,7 @@ def test_frame_bounds_degenerate_span(interval_system):
 def test_system_json_roundtrip(toy_system):
     back = ah.FrameletSystem.from_json(toy_system.partition, toy_system.to_json())
     assert back.to_json() == toy_system.to_json()
-    assert [a.key for a in back.atoms] == [a.key for a in toy_system.atoms]
+    assert back.keys == toy_system.keys
 
 
 def test_coefficient_csv_roundtrip(toy_system, tmp_path):

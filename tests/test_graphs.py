@@ -212,6 +212,25 @@ def test_build_chain_appends_root_at_max_depth(toy_gx):
     chain.validate()
 
 
+def test_build_chain_rejects_a_negative_depth(toy_gx):
+    with pytest.raises(ValueError, match="max_depth must be 0 or more, got -3"):
+        ah.build_chain(toy_gx, max_depth=-3)
+    assert ah.build_chain(toy_gx, max_depth=0).depth == 1  # one all-in-one step
+
+
+@pytest.mark.parametrize("targets, message", [
+    ([6], "step 0: target 6 clusters is not in 1..5 for 6 nodes"),
+    ([10], "step 0: target 10 clusters is not in 1..5 for 6 nodes"),
+    ([0], "step 0: target 0 clusters is not in 1..5 for 6 nodes"),
+    ([3, 3], "step 1: target 3 clusters is not in 1..2 for 3 nodes"),
+    ([3, -2], "step 1: target -2 clusters is not in 1..2 for 3 nodes"),
+])
+def test_build_chain_rejects_targets_out_of_range(toy_gx, targets, message):
+    with pytest.raises(ValueError) as info:
+        ah.build_chain(toy_gx, targets=targets)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
 def test_pad_chain(chain_x):
     padded = ah.pad_chain(chain_x, 5)
     assert padded.depth == 5

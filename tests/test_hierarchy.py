@@ -206,7 +206,7 @@ def test_float_interval_lengths_are_exact():
     assert right.length_ratio == right.length.as_integer_ratio()
     assert p.shares(0) == [(F(0.3).numerator, F(0.3).denominator),
                            right.length.as_integer_ratio()]
-    assert sum(p.split_weights[0]) == 1
+    assert sum(F(num, den) for num, den in p.shares(0)) == 1
 
 
 @pytest.mark.parametrize("d, J", [(1, 4), (2, 3), (3, 2), (4, 1)])

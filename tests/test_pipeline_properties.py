@@ -59,7 +59,7 @@ def test_pipeline_is_tight_full_rank_and_round_trips(g):
         obj = json_round_trip(system.to_json())
         back = ah.FrameletSystem.from_json(loaded, obj)
         assert back.to_json() == obj
-        assert [a.key for a in back.atoms] == [a.key for a in system.atoms]
+        assert back.keys == system.keys
     vbm_obj = json_round_trip(vbm.to_json())
     vbm_back = ah.VertexBlockMap.from_json(loaded, vbm_obj)
     assert vbm_back.to_json() == vbm_obj

@@ -23,6 +23,7 @@ from adahaar import Chain, IntervalEmbedding, ZeroDegreeCluster, refine_interval
 from adahaar.hierarchy import Block, HierarchicalPartition, Interval, PartitionReport, ZERO, ONE
 
 from conftest import random_digraph, random_interval_levels
+from oracles import atom_blocks
 
 
 def pairwise_validate(p):
@@ -53,20 +54,20 @@ def touches_vertices(partition, block_id, vbm):
 
 def geometric_restrict_keys(system, vbm):
     part = system.partition
-    return [a.key for a in system.atoms
-            if touches_vertices(part, a.block1, vbm) or touches_vertices(part, a.block2, vbm)]
+    return [key for key in system.keys
+            if any(touches_vertices(part, b, vbm) for b in atom_blocks(part, key))]
 
 
 def geometric_prune_keys(system, vbm):
     part = system.partition
     finest = system.depth - 1
     by_parent = {}
-    for a in system.atoms:
-        by_parent.setdefault((a.level, a.parent), []).append(a)
+    for key in system.keys:
+        by_parent.setdefault(key[:2], []).append(key)
     kept = []
-    for (level, parent), atoms in sorted(by_parent.items()):
+    for (level, parent), keys in sorted(by_parent.items()):
         if level != finest:
-            kept.extend(atoms)
+            kept.extend(keys)
             continue
         kids = part.children[parent]
         allowed = {pos for pos, cid in enumerate(kids, start=1)
@@ -74,8 +75,8 @@ def geometric_prune_keys(system, vbm):
         witness = next((pos for pos in range(1, len(kids) + 1) if pos not in allowed), None)
         if witness is not None:
             allowed.add(witness)
-        kept.extend(a for a in atoms if a.l1 in allowed and a.l2 in allowed)
-    return [a.key for a in kept]
+        kept.extend(k for k in keys if k[2] in allowed and k[3] in allowed)
+    return kept
 
 
 def chain_to_intervals_by_members(chain: Chain) -> IntervalEmbedding:
@@ -339,6 +340,6 @@ def test_restrict_and_prune_match_geometric_oracle(n, float_weights):
     assert vbm.effective == {b for b in partition.blocks if touches_vertices(partition, b, vbm)}
     system = ah.build_system(partition)
     restricted = ah.restrict_system(system, vbm)
-    assert [a.key for a in restricted.atoms] == geometric_restrict_keys(system, vbm)
+    assert list(restricted.keys) == geometric_restrict_keys(system, vbm)
     pruned, _ = ah.prune_redundant(restricted, vbm)
-    assert [a.key for a in pruned.atoms] == geometric_prune_keys(restricted, vbm)
+    assert list(pruned.keys) == geometric_prune_keys(restricted, vbm)

@@ -1,8 +1,8 @@
 """Restriction, pruning and span bounds from the blocks that meet a vertex.
 
 `restrict_system` keeps the keys of the effective parents (the vertex blocks
-and their ancestors, `vbm.effective`) with an effective child and builds no
-atom; `vertex_span_bounds` runs on `vbm.cascade`, the subtree
+and their ancestors, `vbm.effective`) with an effective child and lists no
+other key; `vertex_span_bounds` runs on `vbm.cascade`, the subtree
 of the effective blocks and their children. Here the restricted keys are
 held to the filter over the materialized full system, whose effective set
 comes from the leaves under each block, and the span bounds of systems read
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import adahaar as ah
 
 from conftest import random_digraph
-from oracles import dense_matrix, leaves_under
+from oracles import atom_blocks, dense_matrix, leaves_under
 from test_cascade import embed, oracle_bounds, systems_of
 from test_pipeline_properties import digraphs
 
@@ -41,41 +41,34 @@ def test_lazy_restriction_equals_the_filter_over_the_full_system(g, cut):
     depth = min(cut, partition.depth)
     lazy = ah.build_system(partition, depth)
     restricted = ah.restrict_system(lazy, vbm)
-    assert "atoms" not in vars(lazy)
     assert "keys" not in vars(lazy)  # only the effective parents' keys were listed
     effective = meets_a_vertex(partition, vbm)
     assert vbm.effective == effective
-    full = ah.build_system(partition, depth).atoms
-    want = [a.key for a in full if a.block1 in effective or a.block2 in effective]
-    assert [a.key for a in restricted.atoms] == want
-    kept = set(want)
-    assert [(a.block1, a.block2) for a in restricted.atoms] == [
-        (a.block1, a.block2) for a in full if a.key in kept]
+    full = ah.build_system(partition, depth).keys
+    want = [k for k in full if effective & set(atom_blocks(partition, k))]
+    assert list(restricted.keys) == want
     # a system with explicit keys keeps only its own: here every other full atom
-    explicit = ah.FrameletSystem(partition, depth, [a.key for a in full[::2]])
-    keep = {a.key for a in full[::2]}
-    assert [a.key for a in ah.restrict_system(explicit, vbm).atoms] == [
-        k for k in want if k in keep]
+    explicit = ah.FrameletSystem(partition, depth, full[::2])
+    keep = set(full[::2])
+    assert list(ah.restrict_system(explicit, vbm).keys) == [k for k in want if k in keep]
     # a file-read system in shuffled order comes back in (level, parent id, pair rank) order
     order = np.random.default_rng([cut, len(full)]).permutation(len(full))
     shuffled = ah.FrameletSystem.from_json(
-        partition, {"depth": depth, "atoms": [list(full[k].key) for k in order]})
+        partition, {"depth": depth, "atoms": [list(full[k]) for k in order]})
     assert ah.restrict_system(shuffled, vbm).keys == tuple(want)
 
 
 def test_the_full_system_answers_membership_without_its_atoms(toy_embedding):
-    """The full system's keys are exactly the generators below its depth, listed
-    without building an atom."""
+    """The full system's keys are exactly the generators below its depth."""
     partition, vbm = toy_embedding
     full = ah.build_system(partition, 2)
-    keys = {a.key for a in ah.build_system(partition, 2).atoms}
+    keys = set(ah.build_system(partition, 2).keys)
     parent = partition.levels[1][0]
     wrong = {(0, parent, 1, 2), (1, parent, 0, 1), (1, parent, 2, 2), (1, parent, 1, 99),
              (0, 999, 1, 2)}  # wrong level, pair out of range, no such block
     candidates = keys | wrong | {(2, b, 1, 2) for b in partition.levels[2]}  # below depth
     assert candidates & set(full.keys) == keys
-    assert "atoms" not in vars(full)
-    assert len(full) == 1 + len(keys) and {a.key for a in full.atoms} == keys
+    assert len(full) == 1 + len(keys) and len(full.keys) == len(keys)
 
 
 @pytest.mark.parametrize("float_weights", [False, True])
@@ -87,19 +80,19 @@ def test_span_bounds_of_a_file_read_system_match_the_dense_oracle(n, float_weigh
     g = random_digraph(np.random.default_rng([n, int(float_weights), 73]), n, float_weights)
     partition, vbm = embed(g)
     rng = np.random.default_rng(n)
-    full = ah.build_system(partition).atoms
-    outside = [a for a in full if a.parent not in vbm.effective]
-    idle = [a for a in full if a.parent in vbm.effective
-            and a.block1 not in vbm.effective and a.block2 not in vbm.effective]
-    restricted = ah.restrict_system(ah.build_system(partition), vbm).atoms
+    full = ah.build_system(partition).keys
+    outside = [k for k in full if k[1] not in vbm.effective]
+    idle = [k for k in full if k[1] in vbm.effective
+            and not vbm.effective & set(atom_blocks(partition, k))]
+    restricted = ah.restrict_system(ah.build_system(partition), vbm).keys
     assert outside and idle
     picks = [outside + idle + list(restricted),
              outside[::3] + list(restricted[1::2]),
              idle + list(restricted[::2])]
-    for atoms in picks:
-        atoms = [atoms[k] for k in rng.permutation(len(atoms))]
+    for keys in picks:
+        keys = [keys[k] for k in rng.permutation(len(keys))]
         obj = json.loads(json.dumps({"depth": partition.depth,
-                                     "atoms": [list(a.key) for a in atoms]}))
+                                     "atoms": [list(k) for k in keys]}))
         system = ah.FrameletSystem.from_json(partition, obj)
         lo, hi, rank = ah.vertex_span_bounds(system, vbm)
         want = oracle_bounds(dense_matrix(system), partition, vbm)
@@ -132,13 +125,13 @@ def test_the_vertex_cascade_is_the_tree_cascade_on_its_blocks(n, float_weights):
 
 
 def test_restriction_and_pruning_build_nothing_for_the_whole_tree():
-    """No full atom list, no tree cascade, no leaf measures: only the vertex map's
+    """No full key list, no tree cascade, no leaf measures: only the vertex map's
     effective set and its cascade, each built once. Leaf measures, when read, are
     the eager per-leaf integer divisions bit for bit."""
     partition, vbm = embed(random_digraph(np.random.default_rng([9, 1, 89]), 9, True))
     full, restricted, pruned = systems_of(partition, vbm)
-    assert "atoms" not in vars(full)
-    assert not {"cascade", "leaf_measures", "leaf_scale", "split_weights"} & set(vars(partition))
+    assert "keys" not in vars(full)
+    assert not {"cascade", "leaf_measures", "leaf_scale"} & set(vars(partition))
     assert {"effective", "cascade"} <= set(vars(vbm))
     assert vbm.effective is vbm.effective and vbm.cascade is vbm.cascade
     eager = np.array([num / den for num, den in
