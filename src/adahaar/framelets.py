@@ -155,8 +155,9 @@ class FrameletSystem:
     A system is its partition, its depth and `keys`, one (level, parent, l1, l2)
     int tuple per atom in atom order, which fixes the coefficient indexing used
     for serialization. Without `keys` it is the full system (`full` is true),
-    whose keys are listed on first read in (level, parent id, pair rank) order.
-    Immutable; `subset` derives restricted systems on the same partition.
+    whose keys are listed on first read in (level, parent id, pair rank) order
+    and whose file is the tag `{"depth": d, "full": true}`. Immutable; `subset`
+    derives restricted systems on the same partition.
     """
 
     def __init__(self, partition, depth, keys=None):
@@ -180,7 +181,12 @@ class FrameletSystem:
         return self.keys
 
     def __len__(self):
-        return 1 + len(self.keys)
+        """1 + the atom count; a full system's is Σ m(m-1)/2 over its parents' child
+        counts m, with no key listed."""
+        if not self.full:
+            return 1 + len(self.keys)
+        counts = (self.partition.child_counts(j) for j in range(self.depth))
+        return 1 + sum(int((m * (m - 1) // 2).sum()) for m in counts)
 
     @cached_property
     def pairs(self) -> tuple:
@@ -251,21 +257,34 @@ class FrameletSystem:
         return integrals, norms, cross
 
     def to_json(self) -> dict:
+        """The full system as its tag, any other system as its listed keys."""
+        if self.full:
+            return {"depth": self.depth, "full": True}
         return {"depth": self.depth,
                 "atoms": [list(k) for k in self.keys]}
 
     @classmethod
     def from_json(cls, partition, obj) -> "FrameletSystem":
-        """Read `to_json` output; each atom key must be a distinct generator of the partition."""
+        """Read `to_json` output: the full-system tag, whose `full` must be true and which
+        lists no atoms, or atom keys that must each be a distinct generator of the
+        partition."""
         try:
             depth = strict_int(obj["depth"], "system JSON: depth")
-            keys = [tuple(strict_int(x, "system JSON: atom field") for x in (j, p, l1, l2))
-                    for j, p, l1, l2 in obj["atoms"]]
+            full = "full" in obj
+            if full and obj["full"] is not True:
+                raise ParseError(f"system JSON: 'full' must be true, got {obj['full']!r}")
+            if full and "atoms" in obj:
+                raise ParseError("system JSON: a full system lists no 'atoms'")
+            keys = [] if full else [
+                tuple(strict_int(x, "system JSON: atom field") for x in (j, p, l1, l2))
+                for j, p, l1, l2 in obj["atoms"]]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed system JSON: {exc}") from exc
         if not 0 <= depth <= partition.depth:
             raise ValidationError(
                 f"system depth {depth} is outside 0..{partition.depth}, the partition's depth")
+        if full:
+            return cls(partition, depth)
         seen = set()
         for key in keys:
             level, parent = key[:2]

@@ -303,6 +303,9 @@ def _pair_score(g: Graph, deg, A, B) -> float:
 def default_cluster(g: Graph, target=None) -> Clustering:
     """Deterministic greedy merge down to `target` clusters (default ceil(n/2)).
 
+    `target` is an integer of 1 or more (ValueError otherwise, naming it); a
+    target of n or more merges nothing.
+
     Each step merges the cluster pair maximizing inter-cluster weight
     divided by the product of the clusters' degree sums; ties go to the
     lexicographically smallest pair of smallest member ids.
@@ -323,7 +326,8 @@ def default_cluster(g: Graph, target=None) -> Clustering:
     n = g.n
     if target is None:
         target = (n + 1) // 2
-    target = max(1, int(target))
+    elif isinstance(target, bool) or not isinstance(target, (int, np.integer)) or target < 1:
+        raise ValueError(f"default_cluster needs a target of 1 or more clusters, got {target!r}")
     deg = g.degrees()
     clusters = {v: [v] for v in range(n)}
     C = np.array(g.weights)

@@ -15,15 +15,18 @@ pairs; exact measures are built as `Fraction`s only for validation and JSON.
 All objects are immutable after construction.
 
 Two types share one interface, the methods `children_of`, `parent_of`,
-`level`, `leaf_position`, `shares` and `vertex_cascade`, which are all the
-restricted pipeline reads. `HierarchicalPartition` is explicit: a `Block`
-per id and dicts over them; it is what `refine_interval_level` and `from_json`
-return, and the only type of a 1-D factor. `tensor_partitions` returns a
+`level`, `leaf_position`, `shares`, `child_counts` and `vertex_cascade`, which
+are all the restricted pipeline reads. `HierarchicalPartition` is explicit: a
+`Block` per id and dicts over them; it is what `refine_interval_level`
+returns, and the only type of a 1-D factor. `tensor_partitions` returns a
 `TensorPartition`, which holds only its factors and small per-factor,
-per-level lists and answers by id arithmetic; it builds its explicit views
+per-level lists and answers by id arithmetic. Each is written as what it
+holds: an explicit partition as its blocks and children, a tensor partition
+as `{"format": "tensor", "factors": [...]}`, and `from_json` reads either
+back as the same type. A `TensorPartition` builds its explicit views
 (`blocks`, `children`, `parent`, `level_of`, `leaf_index`, from `tensor_grid`)
-on first read, which `to_json`, `validate_partition` and `==` against an
-explicit partition do.
+on first read; only `validate_partition`, `==` against an explicit partition,
+the tests and the benchmark's size gauges read them.
 """
 
 from __future__ import annotations
@@ -205,6 +208,10 @@ class HierarchicalPartition:
         return [(cn * pd, cd * pn) for cn, cd in
                 (self.blocks[c].measure_ratio() for c in self.children[parent])]
 
+    def child_counts(self, j) -> np.ndarray:
+        """The number of children of each block of level j, in `levels[j]` order."""
+        return np.array([len(self.children[b]) for b in self.levels[j]], dtype=int)
+
     @cached_property
     def leaf_measures(self) -> np.ndarray:
         """Read-only float measure of each leaf, in `leaf_ids` order (computed once)."""
@@ -299,56 +306,94 @@ class HierarchicalPartition:
 
     @classmethod
     def from_json(cls, obj) -> "HierarchicalPartition":
-        """Read `to_json` output into a validated explicit `HierarchicalPartition`."""
-        try:
-            dim = strict_int(obj["dimension"], "partition JSON: dimension")
-            depth = strict_int(obj["depth"], "partition JSON: depth")
-            if dim < 1:
-                raise ParseError(f"partition JSON: dimension {dim} is below 1")
-            blocks = {}
-            for rec in obj["blocks"]:
-                bid = strict_int(rec["id"], "partition JSON: block id")
-                sides = []
-                for side in rec["sides"]:
-                    a, b, c, d = (strict_int(x, "partition JSON: side endpoint") for x in side)
-                    sides.append(Interval(Fraction(a, b), Fraction(c, d)))
-                sides = tuple(sides)
-                if len(sides) != dim:
-                    raise ParseError(f"partition JSON: block {bid} has {len(sides)} sides, "
-                                     f"not the declared dimension {dim}")
-                blocks[bid] = Block(bid, sides)
-            children = obj.get("children", {})
-            if not isinstance(children, dict):
-                raise ParseError("partition JSON: 'children' must be an object")
-            children = {strict_int(p, "partition JSON: children key"):
-                        [strict_int(c, "partition JSON: child id") for c in kids]
-                        for p, kids in children.items()}
-        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise ParseError(f"malformed partition JSON: {exc}") from exc
-        if 0 not in blocks:
-            raise ParseError("partition JSON must contain a root block with id 0")
-        # levels by distance from root; ids are assigned level-by-level at
-        # construction time, so ascending id order restores level order
-        levels = [[0]]
-        seen = {0}
-        while True:
-            nxt = sorted(c for p in levels[-1] for c in children.get(p, ()))
-            if not nxt:
-                break
-            for c in nxt:
-                if c not in blocks or c in seen:
-                    raise ParseError(f"child id {c} missing or repeated")
-                seen.add(c)
-            levels.append(nxt)
-        if len(seen) != len(blocks):
-            raise ParseError("partition JSON contains unreachable blocks")
-        if len(levels) - 1 != depth:
-            raise ParseError(f"declared depth {depth} but found {len(levels) - 1} levels")
-        part = HierarchicalPartition(dim, levels, blocks, children)
-        report = validate_partition(part)
-        if not report.ok:
-            raise report.first_error()
-        return part
+        """Read either partition file into a validated partition of the type written.
+
+        A file with `"format": "tensor"` lists explicit 1-D factors of equal depth; each
+        is read and validated as an explicit file, never as a tensor one, and the result
+        is `tensor_partitions` of them, with no check on the product (see
+        `validate_partition`). A file without `format` is an explicit partition, read
+        and validated as one. Anything else is a ParseError that names the problem.
+        """
+        if not (isinstance(obj, dict) and "format" in obj):
+            return _explicit_from_json(obj)
+        if obj["format"] != "tensor":
+            raise ParseError(f"partition JSON: unknown format {obj['format']!r}")
+        factors = obj.get("factors")
+        if not isinstance(factors, list) or not factors:
+            raise ParseError(f"partition JSON: 'factors' must be a non-empty list, "
+                             f"got {factors!r}")
+        parts = []
+        for k, factor in enumerate(factors):
+            if not isinstance(factor, dict):
+                raise ParseError(f"partition JSON: factor {k} must be an object")
+            if "format" in factor:
+                raise ParseError(f"partition JSON: factor {k} carries a format; "
+                                 f"a factor is an explicit 1-D partition")
+            try:
+                part = _explicit_from_json(factor)
+            except ParseError as exc:
+                raise ParseError(f"factor {k}: {exc}") from exc
+            if part.dimension != 1:
+                raise ParseError(f"partition JSON: factor {k} has dimension "
+                                 f"{part.dimension}, not 1")
+            parts.append(part)
+        if any(p.depth != parts[0].depth for p in parts):
+            raise ParseError("partition JSON: factor depths differ: "
+                             + " vs ".join(str(p.depth) for p in parts))
+        return tensor_partitions(*parts)
+
+
+def _explicit_from_json(obj) -> HierarchicalPartition:
+    """Read an explicit partition file into a validated `HierarchicalPartition`."""
+    try:
+        dim = strict_int(obj["dimension"], "partition JSON: dimension")
+        depth = strict_int(obj["depth"], "partition JSON: depth")
+        if dim < 1:
+            raise ParseError(f"partition JSON: dimension {dim} is below 1")
+        blocks = {}
+        for rec in obj["blocks"]:
+            bid = strict_int(rec["id"], "partition JSON: block id")
+            sides = []
+            for side in rec["sides"]:
+                a, b, c, d = (strict_int(x, "partition JSON: side endpoint") for x in side)
+                sides.append(Interval(Fraction(a, b), Fraction(c, d)))
+            sides = tuple(sides)
+            if len(sides) != dim:
+                raise ParseError(f"partition JSON: block {bid} has {len(sides)} sides, "
+                                 f"not the declared dimension {dim}")
+            blocks[bid] = Block(bid, sides)
+        children = obj.get("children", {})
+        if not isinstance(children, dict):
+            raise ParseError("partition JSON: 'children' must be an object")
+        children = {strict_int(p, "partition JSON: children key"):
+                    [strict_int(c, "partition JSON: child id") for c in kids]
+                    for p, kids in children.items()}
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ParseError(f"malformed partition JSON: {exc}") from exc
+    if 0 not in blocks:
+        raise ParseError("partition JSON must contain a root block with id 0")
+    # levels by distance from root; ids are assigned level-by-level at
+    # construction time, so ascending id order restores level order
+    levels = [[0]]
+    seen = {0}
+    while True:
+        nxt = sorted(c for p in levels[-1] for c in children.get(p, ()))
+        if not nxt:
+            break
+        for c in nxt:
+            if c not in blocks or c in seen:
+                raise ParseError(f"child id {c} missing or repeated")
+            seen.add(c)
+        levels.append(nxt)
+    if len(seen) != len(blocks):
+        raise ParseError("partition JSON contains unreachable blocks")
+    if len(levels) - 1 != depth:
+        raise ParseError(f"declared depth {depth} but found {len(levels) - 1} levels")
+    part = HierarchicalPartition(dim, levels, blocks, children)
+    report = validate_partition(part)
+    if not report.ok:
+        raise report.first_error()
+    return part
 
 
 def _cascade(pos, sizes, parent, sqrt_b) -> tuple:
@@ -391,6 +436,13 @@ def validate_partition(p: HierarchicalPartition) -> PartitionReport:
 
     Overlaps are sought among siblings only: while every child lies inside
     its parent, any two cousins lie inside a pair of sibling ancestors.
+
+    A product of nested tilings of [0,1] is a nested tiling of the box, and a
+    product block's shares are the products of its factors' shares. So a
+    `TensorPartition` is valid exactly when its factors are, and `from_json`
+    checks a tensor file's factors only: this function on `tensor_grid` of
+    the factors and on each factor agrees on `ok` and on the class of
+    `first_error()` (tested on random factor tuples, valid and corrupted).
     """
     report = PartitionReport()
     for level in p.levels:
@@ -583,10 +635,11 @@ class TensorPartition(HierarchicalPartition):
     small lists (`_factor_tables`) and answers `children_of` (memoized), `parent_of`,
     `level`, `leaf_position`, `shares` and `vertex_cascade` from them; a product's
     share is the product of its factors' shares, as unreduced integers. The whole
-    tree's `cascade` and `leaf_measures` come from the factors too, one level at a
-    time. `levels` are ranges. The explicit views `blocks`, `children`, `parent`,
-    `level_of` and `leaf_index` are built on first read, by `to_json`,
-    `validate_partition` or any other reader of those dicts.
+    tree's `cascade`, `leaf_measures` and `child_counts` come from the factors too,
+    one level at a time, and `to_json` writes the factors. `levels` are ranges. The
+    explicit views `blocks`, `children`, `parent`, `level_of` and `leaf_index` are
+    built on first read; `validate_partition`, `==` against an explicit partition,
+    the tests and the benchmark's size gauges read them, and the pipeline does not.
     """
 
     blocks = _view("blocks")
@@ -694,6 +747,15 @@ class TensorPartition(HierarchicalPartition):
     def shares(self, parent) -> list:
         _, num, den = self._product(*self._coords(parent))
         return list(zip(num, den))
+
+    def child_counts(self, j) -> np.ndarray:
+        """The products of the factors' level-j child counts, in id order; `children_of`
+        is not asked, so its memo stays as it was."""
+        return _outer([p.child_counts(j) for p in self.factors], np.multiply)
+
+    def to_json(self) -> dict:
+        """`{"format": "tensor", "factors": [...]}`, each factor in its explicit form."""
+        return {"format": "tensor", "factors": [p.to_json() for p in self.factors]}
 
     def vertex_cascade(self, leaf_ids) -> tuple:
         """`HierarchicalPartition.vertex_cascade`, level by level from the leaves' factor

@@ -16,7 +16,7 @@ import adahaar as ah
 from conftest import (GX_LEAVES, GY_LEAVES, VERTICES, chain_from_sets, functions,
                       random_interval_levels)
 from oracles import atom_blocks, function_matrix, gram_matrix, leaves_under
-from test_cli import run_cli, run_pipeline
+from test_cli import listed_full_system, run_cli, run_pipeline
 
 
 def report(name, ok, detail=""):
@@ -260,7 +260,7 @@ def test_criterion_9_cli_determinism(tmp_path, toy_digraph, chain_x, chain_y):
     verify_ok = run_cli("verify", "--partition", out1 / "partition.json",
                         "--system", out1 / "system_full.json",
                         "--vbm", out1 / "vbm.json").returncode == 0
-    system = json.loads((out1 / "system_full.json").read_text())
+    system = listed_full_system(out1)
     del system["atoms"][0]
     (out1 / "broken.json").write_text(json.dumps(system))
     verify_fails = run_cli("verify", "--partition", out1 / "partition.json",

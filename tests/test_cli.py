@@ -15,6 +15,7 @@ import pytest
 import adahaar as ah
 from adahaar import cli
 from adahaar.cli import _verify_checks
+from adahaar.hierarchy import tensor_grid
 from conftest import (DIGRAPH_W, GX_CLUSTER_SETS, GY_CLUSTER_SETS, VERTICES, chain_from_sets,
                       random_digraph, random_interval_levels)
 from oracles import dense_moments, function_matrix, gram_matrix
@@ -67,6 +68,16 @@ def run_pipeline(d, out):
                 "--system", out / "system_full.json", "--vbm", out / "vbm.json")
     assert r.returncode == 0, r.stdout + r.stderr
     return out
+
+
+def listed_full_system(out):
+    """The full system's file with every key listed, as `build` wrote it before the
+    full-system tag: `FrameletSystem(p, d, full.keys).to_json()`."""
+    partition = ah.HierarchicalPartition.from_json(json.loads((out / "partition.json").read_text()))
+    full = ah.FrameletSystem.from_json(partition,
+                                       json.loads((out / "system_full.json").read_text()))
+    assert full.full
+    return ah.FrameletSystem(partition, full.depth, full.keys).to_json()
 
 
 def test_pipeline_counts_and_roundtrip(workdir):
@@ -144,7 +155,7 @@ def test_tampered_chain_exit_3(workdir):
 
 def test_verify_fails_after_deleting_an_atom(workdir):
     out = run_pipeline(workdir, workdir / "run")
-    system = json.loads((out / "system_full.json").read_text())
+    system = listed_full_system(out)
     del system["atoms"][10]
     (out / "system_broken.json").write_text(json.dumps(system))
     r = run_cli("verify", "--partition", out / "partition.json",
@@ -567,7 +578,7 @@ def corrupt_system(obj, case):
 ])
 def test_system_keys_checked_against_partition_exit_3(workdir, case, message):
     out = build_only(workdir)
-    obj = json.loads((out / "system_full.json").read_text())
+    obj = listed_full_system(out)
     corrupt_system(obj, case)
     bad = out / "bad_system.json"
     bad.write_text(json.dumps(obj))
@@ -645,17 +656,28 @@ def test_symmetrize_disconnected_prints_one_warning_line(tmp_path):
     assert (tmp_path / "gx.json").exists() and (tmp_path / "gy.json").exists()
 
 
-@pytest.mark.parametrize("case", ["dimension_3", "leaf_missing_a_side"])
+@pytest.mark.parametrize("case", ["dimension_3", "leaf_missing_a_side",
+                                  "factor_leaf_with_2_sides"])
 def test_verify_rejects_side_count_off_the_dimension_exit_2(workdir, case):
+    """The explicit cases edit the explicit file of the same partition, the factor case
+    the tensor file `build` writes."""
     out = build_only(workdir)
     obj = json.loads((out / "partition.json").read_text())
+    explicit = tensor_grid(*ah.HierarchicalPartition.from_json(obj).factors).to_json()
     if case == "dimension_3":
+        obj = explicit
         obj["dimension"] = 3
         expect = "block 0 has 2 sides, not the declared dimension 3"
-    else:
+    elif case == "leaf_missing_a_side":
+        obj = explicit
         leaf = obj["blocks"][-1]
         leaf["sides"].pop()
         expect = f"block {leaf['id']} has 1 sides, not the declared dimension 2"
+    else:
+        leaf = obj["factors"][1]["blocks"][-1]
+        leaf["sides"].append(leaf["sides"][0])
+        expect = (f"factor 1: partition JSON: block {leaf['id']} has 2 sides, "
+                  f"not the declared dimension 1")
     (out / "bad_partition.json").write_text(json.dumps(obj))
     r = run_cli("verify", "--partition", out / "bad_partition.json",
                 "--system", out / "system_full.json", "--vbm", out / "vbm.json")
@@ -702,16 +724,24 @@ def test_cli_fuzz_exits_0_to_3_without_raising(workdir, tmp_path):
                 "--system", files["system"], "--vbm", files["vbm"], "--out", tmp_path / "c.csv"]
 
     partition = json.loads(bundle["partition"].read_text())
-    last_block = len(partition["blocks"]) - 1
+    explicit = tensor_grid(*ah.HierarchicalPartition.from_json(partition).factors).to_json()
+    (out / "explicit_partition.json").write_text(json.dumps(explicit))
+    (out / "listed_system.json").write_text(json.dumps(listed_full_system(out)))
+    last_block = len(explicit["blocks"]) - 1
+    last_factor_block = len(partition["factors"][1]["blocks"]) - 1
     cases = [
         (d / "digraph.json", ["symmetrize", bad, "--out", tmp_path / "sym"],
          [("labels", 1), ("edges", 0)]),
         (d / "chain_x.json", ["build", "--chain-x", bad, "--chain-y", d / "chain_y.json",
                               "--out", tmp_path / "b"],
          [("parents", 0), ("graphs", 1, "edges", 0)]),
-        (bundle["partition"], analyze_with("partition"),
+        (out / "explicit_partition.json", analyze_with("partition"),
          [("blocks", 0), ("blocks", 5), ("blocks", last_block), ("children", "0")]),
-        (bundle["system"], analyze_with("system"), [("atoms", 0), ("atoms", 40)]),
+        (bundle["partition"], analyze_with("partition"),
+         [("factors", 0), ("factors", 1, "blocks", last_factor_block),
+          ("factors", 1, "children")]),
+        (bundle["system"], analyze_with("system"), []),
+        (out / "listed_system.json", analyze_with("system"), [("atoms", 0), ("atoms", 40)]),
         (bundle["vbm"], analyze_with("vbm"), [("labels", 0), ("blocks", "a")]),
     ]
     failures, runs = [], 0

@@ -59,7 +59,7 @@ def oracle_default_cluster(g: Graph, target=None) -> Clustering:
 @st.composite
 def graphs_and_targets(draw, max_n=14):
     """A random symmetric graph, self-loops allowed, and a target of None, 1,
-    anything in 0..n, or n and above. Weights are zero or one of: integers
+    anything in 1..n, or n and above. Weights are zero or one of: integers
     1-3, where exact ties are common; three-decimal floats from a few values,
     where ties hold in exact arithmetic but float sums in different orders
     differ in the last bit; or three-decimal floats in [0.101, 1]."""
@@ -74,7 +74,7 @@ def graphs_and_targets(draw, max_n=14):
     for i in range(n):
         for j in range(i, n):
             W[i, j] = W[j, i] = draw(weight)
-    target = draw(st.one_of(st.none(), st.just(1), st.integers(0, n), st.integers(n, n + 3)))
+    target = draw(st.one_of(st.none(), st.just(1), st.integers(1, n), st.integers(n, n + 3)))
     return Graph(W), target
 
 
@@ -85,6 +85,19 @@ def test_default_cluster_matches_oracle(case):
     got = ah.default_cluster(g, target).assignment
     want = oracle_default_cluster(g, target).assignment
     assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("target", [0, -5, 2.7, 2.0, "3", True])
+def test_default_cluster_rejects_a_target_that_is_no_cluster_count(target):
+    """A target below 1, or one that is not an integer, is a ValueError that names it,
+    where 0 and -5 once gave one cluster and 2.7 two; a target of n or more merges
+    nothing, and a numpy integer is a count."""
+    W = np.diag(np.ones(5), 1)
+    g = Graph(W + W.T)
+    with pytest.raises(ValueError, match=f"got {target!r}"):
+        ah.default_cluster(g, target)
+    assert ah.default_cluster(g, 6).m == ah.default_cluster(g, 10).m == 6
+    assert ah.default_cluster(g, np.int64(2)).m == 2
 
 
 @pytest.mark.parametrize("W, want", [

@@ -413,9 +413,13 @@ def test_frame_bounds_degenerate_span(interval_system):
 # ---------------------------------------------------------------- serialization
 
 def test_system_json_roundtrip(toy_system):
-    back = ah.FrameletSystem.from_json(toy_system.partition, toy_system.to_json())
-    assert back.to_json() == toy_system.to_json()
-    assert back.keys == toy_system.keys
+    """The full system is written as its tag and read back full; a listed system, the
+    same keys here, as its keys."""
+    assert toy_system.to_json() == {"depth": toy_system.depth, "full": True}
+    for system in (toy_system, toy_system.subset(toy_system.keys)):
+        back = ah.FrameletSystem.from_json(toy_system.partition, system.to_json())
+        assert back.to_json() == system.to_json() and back.full == system.full
+        assert back.keys == toy_system.keys and len(back) == len(toy_system)
 
 
 def test_coefficient_csv_roundtrip(toy_system, tmp_path):
@@ -438,7 +442,31 @@ def test_coefficient_csv_roundtrip(toy_system, tmp_path):
     (lambda o: o["atoms"][3].__setitem__(0, False), "atom field must be an integer, got False"),
 ], ids=["depth_float", "parent_float", "level_bool"])
 def test_system_json_rejects_non_integer_fields(toy_system, edit, message):
-    obj = toy_system.to_json()
+    obj = toy_system.subset(toy_system.keys).to_json()
     edit(obj)
     with pytest.raises(ah.ParseError, match=f"system JSON: {message}"):
         ah.FrameletSystem.from_json(toy_system.partition, obj)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda o: o.__setitem__("full", 1), "'full' must be true, got 1"),
+    (lambda o: o.__setitem__("full", False), "'full' must be true, got False"),
+    (lambda o: o.__setitem__("full", None), "'full' must be true, got None"),
+    (lambda o: o.__setitem__("atoms", []), "a full system lists no 'atoms'"),
+    (lambda o: o.pop("depth"), "malformed system JSON: 'depth'"),
+], ids=["full_one", "full_false", "full_null", "full_with_atoms", "depth_missing"])
+def test_full_system_tag_rejections_are_parse_errors(toy_system, edit, message):
+    obj = toy_system.to_json()
+    edit(obj)
+    with pytest.raises(ah.ParseError, match=message):
+        ah.FrameletSystem.from_json(toy_system.partition, obj)
+
+
+def test_full_system_tag_depth_is_checked_against_the_partition(toy_system):
+    part = toy_system.partition
+    for depth in (-1, part.depth + 1):
+        with pytest.raises(ah.ValidationError, match=f"system depth {depth} is outside"):
+            ah.FrameletSystem.from_json(part, {"depth": depth, "full": True})
+    for depth in range(part.depth + 1):
+        system = ah.FrameletSystem.from_json(part, {"depth": depth, "full": True})
+        assert system.full and len(system) == len(ah.build_system(part, depth).keys) + 1

@@ -5,6 +5,7 @@ import pytest
 
 import adahaar as ah
 from adahaar import DepthMismatch, GapOrOverlap, NotNested, ParseError
+from adahaar.hierarchy import TensorPartition, tensor_grid
 
 from conftest import random_interval_levels
 
@@ -168,8 +169,16 @@ def test_json_roundtrip_stable_ids(toy_embedding):
 
 
 def test_json_roundtrip_dyadic():
+    """A tensor partition is written as its factors and read back as a tensor partition;
+    its explicit grid is written and read back as an explicit one."""
     p = ah.make_dyadic_partition(2, 2)
-    assert ah.HierarchicalPartition.from_json(p.to_json()) == p
+    obj = p.to_json()
+    assert obj == {"format": "tensor", "factors": [f.to_json() for f in p.factors]}
+    back = ah.HierarchicalPartition.from_json(obj)
+    assert type(back) is TensorPartition and back == p and back.to_json() == obj
+    grid = tensor_grid(*p.factors)
+    explicit = ah.HierarchicalPartition.from_json(grid.to_json())
+    assert type(explicit) is ah.HierarchicalPartition and explicit == p == grid
 
 
 def test_json_roundtrip_float_endpoints():
@@ -183,7 +192,8 @@ def test_json_roundtrip_float_endpoints():
     one = ah.HierarchicalPartition(1, [[0]], {0: ah.Block(0, (ah.Interval(0.0, 1.0),))}, {})
     two = split(0.0, 0.375, 1.0)
     assert ah.validate_partition(two).ok
-    for p, exact in ((one, ah.make_dyadic_partition(1, 0)), (two, split(F(0), F(3, 8), F(1)))):
+    for p, exact in ((one, ah.make_dyadic_partition(1, 0).factors[0]),
+                     (two, split(F(0), F(3, 8), F(1)))):
         obj = p.to_json()
         assert obj == exact.to_json()
         back = ah.HierarchicalPartition.from_json(obj)
@@ -266,7 +276,8 @@ def test_tensor_of_one_factor_is_the_factor():
     for depth in (0, 1, 3):
         p = ah.refine_interval_level(random_interval_levels(rng, depth=depth))
         t = ah.tensor_partitions(p)
-        assert t == p and t.to_json() == p.to_json()
+        assert t == p and t.to_json() == {"format": "tensor", "factors": [p.to_json()]}
+        assert ah.HierarchicalPartition.from_json(t.to_json()) == t
 
 
 def test_tensor_rejects_no_factor_and_boxes():
@@ -279,7 +290,7 @@ def test_tensor_rejects_no_factor_and_boxes():
 
 
 def tampered_dyadic(edit):
-    obj = ah.make_dyadic_partition(2, 2).to_json()
+    obj = tensor_grid(*ah.make_dyadic_partition(2, 2).factors).to_json()  # the explicit form
     edit(obj)
     return obj
 
@@ -305,3 +316,52 @@ def tampered_dyadic(edit):
 def test_partition_json_rejections_are_parse_errors(edit, message):
     with pytest.raises(ParseError, match=message):
         ah.HierarchicalPartition.from_json(tampered_dyadic(edit))
+
+
+EXPLICIT_SQUARE = tensor_grid(*ah.make_dyadic_partition(2, 2).factors).to_json()
+
+
+def tampered_tensor(edit):
+    obj = ah.make_dyadic_partition(2, 2).to_json()
+    edit(obj)
+    return obj
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda o: o.__setitem__("format", "grid"), "unknown format 'grid'"),
+    (lambda o: o.__setitem__("format", None), "unknown format None"),
+    (lambda o: o.pop("factors"), "'factors' must be a non-empty list, got None"),
+    (lambda o: o.__setitem__("factors", {}), "'factors' must be a non-empty list, got {}"),
+    (lambda o: o.__setitem__("factors", []), "'factors' must be a non-empty list, got \\[\\]"),
+    (lambda o: o["factors"].__setitem__(1, 7), "factor 1 must be an object"),
+    (lambda o: o["factors"].__setitem__(1, EXPLICIT_SQUARE), "factor 1 has dimension 2, not 1"),
+    (lambda o: o["factors"].__setitem__(1, ah.make_dyadic_partition(1, 1).factors[0].to_json()),
+     "factor depths differ: 2 vs 1"),
+    (lambda o: o["factors"].__setitem__(1, ah.make_dyadic_partition(1, 2).to_json()),
+     "factor 1 carries a format"),
+    (lambda o: o["factors"][0].__setitem__("depth", 1.5),
+     "factor 0: partition JSON: depth must be an integer, got 1.5"),
+], ids=["format_unknown", "format_null", "factors_missing", "factors_not_a_list",
+        "factors_empty", "factor_not_an_object", "factor_2d", "factor_depths_differ",
+        "factor_with_format", "factor_malformed"])
+def test_tensor_partition_json_rejections_are_parse_errors(edit, message):
+    with pytest.raises(ParseError, match=message):
+        ah.HierarchicalPartition.from_json(tampered_tensor(edit))
+
+
+def test_a_nested_tensor_file_is_a_parse_error_not_a_recursion():
+    """Factors are read as explicit partitions only: a file whose factor is itself a
+    tensor file, nested far below the recursion limit, fails at its first factor."""
+    obj = ah.make_dyadic_partition(1, 1).to_json()
+    for _ in range(100_000):
+        obj = {"format": "tensor", "factors": [obj]}
+    with pytest.raises(ParseError, match="factor 0 carries a format"):
+        ah.HierarchicalPartition.from_json(obj)
+
+
+def test_an_invalid_factor_is_a_validation_error():
+    """A factor that parses but does not tile [0, 1] fails as the explicit file does."""
+    obj = ah.make_dyadic_partition(2, 1).to_json()
+    obj["factors"][1]["blocks"][2]["sides"][0] = [1, 2, 3, 4]
+    with pytest.raises(GapOrOverlap):
+        ah.HierarchicalPartition.from_json(obj)
