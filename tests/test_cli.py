@@ -73,9 +73,10 @@ def run_pipeline(d, out):
 def listed_full_system(out):
     """The full system's file with every key listed, as `build` wrote it before the
     full-system tag: `FrameletSystem(p, d, full.keys).to_json()`."""
-    partition = ah.HierarchicalPartition.from_json(json.loads((out / "partition.json").read_text()))
-    full = ah.FrameletSystem.from_json(partition,
-                                       json.loads((out / "system_full.json").read_text()))
+    partition, full = (json.loads((out / name).read_text())
+                       for name in ("partition.json", "system_full.json"))
+    partition = ah.HierarchicalPartition.from_json(partition)
+    full = ah.FrameletSystem.from_json(partition, full)
     assert full.full
     return ah.FrameletSystem(partition, full.depth, full.keys).to_json()
 
