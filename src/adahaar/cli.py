@@ -189,29 +189,29 @@ def cmd_synthesize(args) -> int:
     return 0
 
 
-def _verify_checks(partition, system, vbm, rng, n_signals=20):
-    """Yield (name, ok, detail) for each verification suite."""
-    # column orthogonality of every parent's refinement matrix
-    worst = 0.0
-    for j in range(system.depth):
-        for parent in partition.levels[j]:
-            b = [num / den for num, den in partition.shares(parent)]
-            if len(b) > 1:
-                A = refinement_matrix(b)
-                worst = max(worst, float(np.abs(A.T @ A - np.eye(len(b))).max()))
+def _verify_checks(system, vbm, rng, n_signals=20):
+    """Yield (name, ok, detail) for each verification suite on `system.partition`.
+
+    One pass over the keys reads each parent's integer shares once, checks its
+    refinement matrix's column orthogonality and takes each atom's norm b_l1 + b_l2
+    as one rounded division. The split check covers the parents of the keys: for a
+    full system every parent below the depth with two or more children."""
+    partition = system.partition
+    shares, worst, expect = {}, 0.0, []
+    for _, p, l1, l2 in system.keys:
+        if p not in shares:
+            shares[p] = partition.shares(p)
+            A = refinement_matrix([num / den for num, den in shares[p]])
+            worst = max(worst, float(np.abs(A.T @ A - np.eye(A.shape[1])).max()))
+        (n1, d1), (n2, d2) = shares[p][l1 - 1], shares[p][l2 - 1]
+        expect.append((n1 * d2 + n2 * d1) / (d1 * d2))
+    del shares  # long integers: freed before the cascade is built
     yield "refinement_orthogonality", worst <= 1e-12, f"max residual {worst:.3e}"
 
     integrals, norms, cross = system.moments()
     worst = float(np.abs(integrals[1:]).max(initial=0.0))
     yield "vanishing_moments", worst <= 1e-12, f"max |integral| {worst:.3e}"
 
-    shares = {}  # parent -> its integer shares; b_l1 + b_l2 is one rounded division
-    expect = []
-    for _, p, l1, l2 in system.keys:
-        if p not in shares:
-            shares[p] = partition.shares(p)
-        (n1, d1), (n2, d2) = shares[p][l1 - 1], shares[p][l2 - 1]
-        expect.append((n1 * d2 + n2 * d1) / (d1 * d2))
     worst = float(np.abs(norms[1:] - expect).max(initial=0.0))
     yield "atom_norms", worst <= 1e-12, f"max norm error {worst:.3e}"
 
@@ -250,9 +250,9 @@ def _seed_from_env() -> int:
 
 def cmd_verify(args) -> int:
     rng = np.random.default_rng(_seed_from_env())
-    partition, system, vbm = _load_bundle(args)
+    _, system, vbm = _load_bundle(args)
     failed = 0
-    for name, ok, detail in _verify_checks(partition, system, vbm, rng):
+    for name, ok, detail in _verify_checks(system, vbm, rng):
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         failed += 0 if ok else 1
     return 0 if failed == 0 else 1

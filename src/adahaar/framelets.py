@@ -366,7 +366,8 @@ def coefficients_to_csv(cv: CoefficientVector, fh) -> None:
 
 
 def coefficients_from_csv(system: FrameletSystem, fh) -> CoefficientVector:
-    """Read the rows coefficients_to_csv writes; a malformed or repeated row is a ParseError."""
+    """Read the rows coefficients_to_csv writes; a malformed or repeated row, or a level -1
+    row other than the scaling row, is a ParseError, and a missing row an IndexMismatch."""
     reader = csv.reader(fh)
     got = {}
     for row in reader:
@@ -383,12 +384,15 @@ def coefficients_from_csv(system: FrameletSystem, fh) -> CoefficientVector:
             raise ParseError(f"{where}: {exc}") from exc
         if not math.isfinite(value):
             raise ParseError(f"{where}: value {row[4]!r} is not finite")
-        if key[0] == -1:
-            key = SCALING_KEY
+        if key[0] == -1 and key != SCALING_KEY:
+            raise ParseError(f"{where}: a level -1 row is the scaling row {SCALING_KEY}, "
+                             f"got {key}")
         if key in got:
             raise ParseError(f"{where}: coefficient {key} appears more than once")
         got[key] = value
-    c0 = got.pop(SCALING_KEY, 0.0)
+    if SCALING_KEY not in got:
+        raise IndexMismatch(f"coefficient rows have no scaling row {SCALING_KEY}")
+    c0 = got.pop(SCALING_KEY)
     keys = system.keys
     if set(got) != set(keys):
         raise IndexMismatch("coefficient rows do not match the system's atoms")

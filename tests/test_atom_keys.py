@@ -150,5 +150,5 @@ def test_the_pipeline_reads_keys_and_builds_no_atom():
         assert back.coefficients.tobytes() == cv.coefficients.tobytes()
         g1, g2 = ah.synthesize(loaded, back), ah.synthesize(system, back)
         assert g1.vector.tobytes() == g2.vector.tobytes()
-        checks = list(_verify_checks(partition, loaded, vbm, np.random.default_rng(0), 2))
+        checks = list(_verify_checks(loaded, vbm, np.random.default_rng(0), 2))
         assert len(checks) == 6

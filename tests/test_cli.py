@@ -346,8 +346,7 @@ def residuals(system, integrals, norms, cross):
 
 def moment_checks(system):
     """verify's (ok, detail) for the three checks computed from `system.moments()`."""
-    checks = itertools.islice(_verify_checks(system.partition, system, None,
-                                             np.random.default_rng(0)), 4)
+    checks = itertools.islice(_verify_checks(system, None, np.random.default_rng(0)), 4)
     return {name: (ok, detail) for name, ok, detail in checks
             if name != "refinement_orthogonality"}
 
@@ -408,13 +407,85 @@ def test_verify_checks_build_no_dense_matrix():
     system = ah.build_system(partition)
     tracemalloc.start()
     try:
-        oks = [ok for _, ok, _ in _verify_checks(partition, system, vbm,
-                                                  np.random.default_rng(0))]
+        oks = [ok for _, ok, _ in _verify_checks(system, vbm, np.random.default_rng(0))]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert all(oks) and len(system) > 2500
     assert peak < 8 * 2 ** 20, peak
+
+
+def split_checks(system, monkeypatch):
+    """verify's checks on `system` with one signal, and the parent behind each
+    refinement matrix they build with its residual, in build order."""
+    partition, asked, built = system.partition, [], []
+    monkeypatch.setattr(partition, "shares",
+                        lambda p, shares=partition.shares: asked.append(p) or shares(p))
+
+    def counted(b, build=cli.refinement_matrix):
+        A = build(b)
+        built.append((asked[-1], float(np.abs(A.T @ A - np.eye(len(b))).max())))
+        return A
+
+    monkeypatch.setattr(cli, "refinement_matrix", counted)
+    checks = {name: (ok, detail) for name, ok, detail in
+              _verify_checks(system, None, np.random.default_rng(0), 1)}
+    monkeypatch.undo()
+    return checks, built
+
+
+def grid_split_residual(partition, depth):
+    """The oracle for full systems: the split residual over every grid parent below the
+    depth."""
+    worst = 0.0
+    for j in range(depth):
+        for parent in partition.levels[j]:
+            b = [num / den for num, den in partition.shares(parent)]
+            if len(b) > 1:
+                A = ah.refinement_matrix(b)
+                worst = max(worst, float(np.abs(A.T @ A - np.eye(len(b))).max()))
+    return worst
+
+
+def test_split_check_builds_one_matrix_per_parent_of_the_keys(monkeypatch):
+    """Restricted and pruned systems check the distinct parents of their keys, once
+    each; the full system checks every grid parent below the depth with two or more
+    children, and reports the grid-wide residual, on the dyadic cube too."""
+    partition, vbm = embed(random_digraph(np.random.default_rng([32, 0, 61]), 32, False))
+    full = ah.build_system(partition)
+    restricted = ah.restrict_system(full, vbm)
+    pruned, _ = ah.prune_redundant(restricted, vbm)
+    for system in (restricted, pruned):
+        checks, built = split_checks(system, monkeypatch)
+        parents = [p for p, _ in built]
+        assert len(parents) == len(set(parents)) == len({key[1] for key in system.keys})
+        assert set(parents) == {key[1] for key in system.keys}
+        assert checks["refinement_orthogonality"] == (
+            True, f"max residual {max(r for _, r in built):.3e}")
+    assert len(restricted) < len(full) // 5
+    for system in (full, ah.build_system(ah.make_dyadic_partition(3, 2))):
+        part = system.partition
+        grid = {p for j in range(system.depth) for p in part.levels[j]
+                if len(part.children_of(p)) >= 2}
+        checks, built = split_checks(system, monkeypatch)
+        assert sorted(p for p, _ in built) == sorted(grid)
+        worst = grid_split_residual(part, system.depth)
+        assert max(r for _, r in built) == worst
+        assert checks["refinement_orthogonality"] == (True, f"max residual {worst:.3e}")
+
+
+def test_split_check_fails_on_a_used_parent_that_is_not_tiled():
+    """Parent 2 = [1/2, 1] has children [1/2, 3/4] and [3/4, 7/8], shares 1/2 and 1/4:
+    a key under it makes the checks raise, as the grid-wide loop did."""
+    ends = {0: (0, 1), 1: (0, F(1, 2)), 2: (F(1, 2), 1), 3: (0, F(1, 4)),
+            4: (F(1, 4), F(1, 2)), 5: (F(1, 2), F(3, 4)), 6: (F(3, 4), F(7, 8))}
+    blocks = {b: ah.Block(b, (ah.Interval(F(lo), F(hi)),)) for b, (lo, hi) in ends.items()}
+    partition = ah.HierarchicalPartition(1, [(0,), (1, 2), (3, 4, 5, 6)], blocks,
+                                         {0: (1, 2), 1: (3, 4), 2: (5, 6)})
+    assert not ah.validate_partition(partition).ok
+    system = ah.FrameletSystem(partition, 2, [(0, 0, 1, 2), (1, 2, 1, 2)])
+    with pytest.raises(ah.BadWeights, match="0.75"):
+        list(_verify_checks(system, None, np.random.default_rng(0), 1))
 
 
 @pytest.mark.parametrize("field, value", [("directed", "false"), ("labels", "abcdef")])
@@ -517,6 +588,27 @@ def test_repeated_coefficient_key_exit_2(coefficients):
     r = synthesize_rows(out, "dup.csv", rows)
     assert r.returncode == 2
     assert f"dup.csv: line {len(rows)}" in r.stderr and "more than once" in r.stderr
+    assert not (out / "back.csv").exists()
+
+
+def test_level_minus_one_row_off_the_scaling_key_exit_2(coefficients):
+    """Only (-1, 0, 0, 0) is the scaling row; another level -1 key is not read as it."""
+    out, rows = coefficients
+    assert rows[1].startswith("-1,0,0,0,")
+    rows[1] = "-1,4,1,2," + rows[1].rsplit(",", 1)[1]
+    r = synthesize_rows(out, "scaling.csv", rows)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "scaling.csv: line 2" in r.stderr and "(-1, 4, 1, 2)" in r.stderr
+    assert not (out / "back.csv").exists()
+
+
+def test_missing_scaling_row_exit_3(coefficients):
+    out, rows = coefficients
+    assert rows[1].startswith("-1,0,0,0,")
+    del rows[1]
+    r = synthesize_rows(out, "noscaling.csv", rows)
+    assert r.returncode == 3, r.stdout + r.stderr
+    assert "no scaling row (-1, 0, 0, 0)" in r.stderr and "Traceback" not in r.stderr
     assert not (out / "back.csv").exists()
 
 

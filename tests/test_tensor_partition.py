@@ -250,7 +250,7 @@ def test_transforms_round_trips_and_checks_build_no_grid(tmp_path, monkeypatch, 
         f = ah.signal_to_function(rng.standard_normal(12), vbm)
         ah.function_to_signal(ah.synthesize(loaded, ah.analyze(loaded, f)), vbm)
         for v in (vbm, None):
-            assert len(list(_verify_checks(partition, loaded, v, rng, 2))) == 6
+            assert len(list(_verify_checks(loaded, v, rng, 2))) == 6
     assert not VIEWS & set(vars(partition))
     g = random_digraph(np.random.default_rng([12, 1, 127]), 12, True)
     (tmp_path / "graph.json").write_text(json.dumps(g.to_json()))
